@@ -367,27 +367,34 @@ def _weights_geometry(arrays):
     raise _shape_error(f"stem width {stem_width} matches no known model preset")
 
 
-def _adopt_run_settings(cfg, explicit, weights_path):
+def _read_manifest(weights_path):
+    """key -> value of the manifest beside a weights file; {} if unreadable."""
+    try:
+        text = (Path(weights_path).parent / "manifest.txt").read_text()
+    except OSError:
+        return {}
+    manifest = {}
+    for line in text.splitlines():
+        key, sep, value = line.partition("=")
+        if sep:
+            manifest[key] = value
+    return manifest
+
+
+def _adopt_run_settings(cfg, explicit, manifest):
     """Align preprocessing with how the weights were trained.
 
     The manifest written beside a weights file records the training
     input_size and normalize switch; adopt them unless the user set those
     fields. Weights without a readable manifest keep the defaults.
     """
-    manifest = Path(weights_path).parent / "manifest.txt"
-    try:
-        text = manifest.read_text()
-    except OSError:
-        return cfg
     updates = {}
-    for line in text.splitlines():
-        key, sep, value = line.partition("=")
-        if not sep or key in explicit or key not in ("input_size", "normalize"):
-            continue
-        try:
-            updates[key] = CONFIG_PARSERS[key](value)
-        except CliError:
-            continue
+    for key in ("input_size", "normalize"):
+        if key in manifest and key not in explicit:
+            try:
+                updates[key] = CONFIG_PARSERS[key](manifest[key])
+            except CliError:
+                continue
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -396,8 +403,7 @@ def _load_model(weights_path, cfg):
     detected_model, classes = _weights_geometry(arrays)
     model_name = cfg.model or detected_model
     _check_class_count(cfg, classes, f"the weights file {weights_path}")
-    model = TKFNet(model_config(model_name, classes), seed=cfg.seed)
-    model.load_state(arrays)
+    model = TKFNet(model_config(model_name, classes), state=arrays)
     return model, replace(cfg, model=model_name, classes=classes)
 
 
@@ -405,7 +411,7 @@ def cmd_eval(args):
     cfg, explicit = _load_run_config(args)
     if cfg.data is None:
         raise _config_error("eval requires --data (a dataset folder or synth:CxNxS)")
-    cfg = _adopt_run_settings(cfg, explicit, args.weights)
+    cfg = _adopt_run_settings(cfg, explicit, _read_manifest(args.weights))
     out_dir = _ensure_out_dir(cfg)
     model, cfg = _load_model(args.weights, cfg)
 
@@ -423,32 +429,24 @@ def cmd_eval(args):
     total = int(metrics.confusion.sum())
     csv_text = _confusion_csv(metrics.confusion, dataset.class_names)
 
-    extra = (("weights", args.weights),)
     if out_dir is not None:
         (out_dir / "confusion.csv").write_text(csv_text)
         (out_dir / "final.txt").write_text(
             f"accuracy={metrics.accuracy:.6f}\ncorrect={correct}\nsamples={total}\n"
         )
-        _emit_manifest(out_dir, "eval", cfg, dataset.class_names, extra)
-        print(f"accuracy {metrics.accuracy:.6f} ({correct}/{total})")
-    else:
-        _emit_manifest(None, "eval", cfg, dataset.class_names, extra)
-        print(f"accuracy {metrics.accuracy:.6f} ({correct}/{total})")
+    _emit_manifest(out_dir, "eval", cfg, dataset.class_names, (("weights", args.weights),))
+    print(f"accuracy {metrics.accuracy:.6f} ({correct}/{total})")
+    if out_dir is None:
         sys.stdout.write(csv_text)
     return EXIT_OK
 
 
-def _class_names_beside(weights_path, classes):
-    manifest = Path(weights_path).parent / "manifest.txt"
+def _class_names(manifest, classes):
     names = {}
-    try:
-        text = manifest.read_text()
-    except OSError:
-        return [f"class{i}" for i in range(classes)]
-    for line in text.splitlines():
-        match = re.match(r"^class_(\d+)=(.+)$", line)
-        if match:
-            names[int(match.group(1))] = match.group(2)
+    for key, value in manifest.items():
+        match = re.fullmatch(r"class_(\d+)", key)
+        if match and value:
+            names[int(match.group(1))] = value
     if sorted(names) == list(range(classes)):
         return [names[i] for i in range(classes)]
     return [f"class{i}" for i in range(classes)]
@@ -458,7 +456,8 @@ def cmd_infer(args):
     cfg, explicit = _load_run_config(args)
     if args.dump_attention and cfg.out is None:
         raise _config_error("--dump-attention requires --out")
-    cfg = _adopt_run_settings(cfg, explicit, args.weights)
+    manifest = _read_manifest(args.weights)
+    cfg = _adopt_run_settings(cfg, explicit, manifest)
     out_dir = _ensure_out_dir(cfg)
     model, cfg = _load_model(args.weights, cfg)
 
@@ -469,7 +468,7 @@ def cmd_infer(args):
     raw = logits.data.reshape(-1).astype(np.float64)
     shifted = np.exp(raw - raw.max())
     probs = shifted / shifted.sum()
-    class_names = _class_names_beside(args.weights, cfg.classes)
+    class_names = _class_names(manifest, cfg.classes)
 
     extra = (("weights", args.weights), ("image", args.image))
     _emit_manifest(out_dir, "infer", cfg, class_names, extra)

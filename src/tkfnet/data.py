@@ -196,15 +196,13 @@ def _resize_bilinear(arr, th, tw):
     n, h, w, c = arr.shape
     r0, r1, fr = _axis_coords(h, th, arr.dtype)
     c0, c1, fc = _axis_coords(w, tw, arr.dtype)
-    tl = arr[:, r0[:, None], c0[None, :], :]
-    tr = arr[:, r0[:, None], c1[None, :], :]
-    bl = arr[:, r1[:, None], c0[None, :], :]
-    br = arr[:, r1[:, None], c1[None, :], :]
-    wr = fr[None, :, None, None]
+    # Separable: blend columns once per source row, then gather and blend
+    # rows. Every output element gets the same float operations, in the same
+    # order, as blending the four gathered corners.
     wc = fc[None, None, :, None]
-    top = (1 - wc) * tl + wc * tr
-    bottom = (1 - wc) * bl + wc * br
-    return (1 - wr) * top + wr * bottom
+    across = (1 - wc) * arr[:, :, c0] + wc * arr[:, :, c1]
+    wr = fr[None, :, None, None]
+    return (1 - wr) * across[:, r0] + wr * across[:, r1]
 
 
 def preprocess(sample, target=None, normalize=True):

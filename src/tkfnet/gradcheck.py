@@ -114,19 +114,25 @@ def _separated(rng, shape, dtype, gap=0.05, jitter=0.01):
     return vals.reshape(shape).astype(dtype)
 
 
-def _case_conv2d(rng, dtype):
-    stride = int(rng.integers(1, 3))
-    padding = "same" if rng.integers(0, 2) else "valid"
-    x = Tensor(_uniform(rng, (1, 3, 3, 2), dtype), requires_grad=True)
-    w = Tensor(_uniform(rng, (2, 2, 2, 2), dtype, -1.0, 1.0), requires_grad=True)
-    b = Tensor(_uniform(rng, (1, 1, 1, 2), dtype), requires_grad=True)
-    probe = conv2d(x, w, b, stride=stride, padding=padding)
-    cw = _weight_tensor(rng, probe.shape, dtype)
+def _conv_case(kernel, x_shape, stride=None):
+    """Probe of a square-kernel conv; a None stride draws 1 or 2 per seed."""
 
-    def f(x, w, b):
-        return reduce_sum(hadamard(conv2d(x, w, b, stride=stride, padding=padding), cw))
+    def build(rng, dtype):
+        step = int(rng.integers(1, 3)) if stride is None else stride
+        padding = "same" if rng.integers(0, 2) else "valid"
+        cin = x_shape[3]
+        x = Tensor(_uniform(rng, x_shape, dtype), requires_grad=True)
+        w = Tensor(_uniform(rng, (kernel, kernel, cin, 2), dtype, -1.0, 1.0), requires_grad=True)
+        b = Tensor(_uniform(rng, (1, 1, 1, 2), dtype), requires_grad=True)
+        probe = conv2d(x, w, b, stride=step, padding=padding)
+        cw = _weight_tensor(rng, probe.shape, dtype)
 
-    return f, [x, w, b]
+        def f(x, w, b):
+            return reduce_sum(hadamard(conv2d(x, w, b, stride=step, padding=padding), cw))
+
+        return f, [x, w, b]
+
+    return build
 
 
 def _case_linear(rng, dtype):
@@ -268,7 +274,7 @@ def _case_cross_entropy(rng, dtype):
 
 # The gelu derivative crosses zero near x = -0.7518; relu kinks at zero.
 OP_CASES = {
-    "conv2d": _case_conv2d,
+    "conv2d": _conv_case(2, (1, 3, 3, 2)),
     "linear": _case_linear,
     "relu": _activation_case("relu", avoid=(0.0, 0.05)),
     "sigmoid": _activation_case("sigmoid"),
@@ -283,6 +289,11 @@ OP_CASES = {
     "concat_channels": _case_concat,
     "reduce_sum": _case_reduce_sum,
     "softmax_cross_entropy": _case_cross_entropy,
+    # The 1x1 stride-1 conv reads its input as the im2col matrix; the
+    # strided 1x1 and the 3x3 convs build it tap by tap.
+    "conv2d_1x1": _conv_case(1, (2, 3, 3, 3), stride=1),
+    "conv2d_1x1_stride2": _conv_case(1, (2, 3, 3, 3), stride=2),
+    "conv2d_3x3": _conv_case(3, (1, 4, 5, 2)),
 }
 
 

@@ -8,7 +8,13 @@ from .tensor import Parameter, conv2d, linear
 
 
 def he_normal(rng, shape, fan_in, dtype):
-    """Fan-in scaled Gaussian draw, std = sqrt(2 / fan_in)."""
+    """Fan-in scaled Gaussian draw, std = sqrt(2 / fan_in).
+
+    With ``rng`` None the array is left uninitialized, for a model whose
+    every parameter is about to be loaded.
+    """
+    if rng is None:
+        return np.empty(shape, dtype=dtype)
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 
 

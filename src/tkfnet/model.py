@@ -54,13 +54,18 @@ def model_config(name, classes=7):
 class TKFNet:
     """Backbone, texture extractor and gated classifier in sequence."""
 
-    def __init__(self, config, seed=0, dtype=np.float32):
-        rng = np.random.default_rng(seed)
+    def __init__(self, config, seed=0, dtype=np.float32, state=None):
+        """Seeded He-normal initialization, or, given ``state``, the
+        parameters of a {name: array} mapping loaded by ``load_state``
+        without drawing an initialization first."""
+        rng = np.random.default_rng(seed) if state is None else None
         self.config = config
         self.backbone = Backbone(config.backbone, rng, dtype)
         width = self.backbone.out_channels
         self.tafe = TAFE(width, rng, dtype)
         self.dcif = DCIF(2 * width, config.classes, rng, reduction=config.reduction, dtype=dtype)
+        if state is not None:
+            self.load_state(state)
 
     def forward_with_attention(self, images):
         """Logits (n, 1, 1, classes) plus the per-channel gate vector."""

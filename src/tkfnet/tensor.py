@@ -152,6 +152,14 @@ def _record(op, outs, run):
         tape.nodes.append(_TapeNode(op, outs, run))
 
 
+def _taping(requires_grad):
+    """Whether ``_record`` will keep an op whose outputs have ``requires_grad``.
+
+    Values that only a backward pass reads are computed under this check.
+    """
+    return requires_grad and Tape.active() is not None
+
+
 def _accum(tensor, grad):
     if not tensor.requires_grad:
         return
@@ -223,12 +231,22 @@ def conv2d(x, weight, bias, stride=1, padding="same"):
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
     oh, ow, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
 
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    cols = patches.reshape(n * oh * ow, kh * kw * cin)
-    wmat = weight.data.reshape(kh * kw * cin, cout)
+    padded = (n, pt + h + pb, pl + w + pr, cin)
+    if (kh, kw, stride) == (1, 1, 1):
+        # The input itself is the im2col matrix of a 1x1 stride-1 kernel.
+        cols = x.data.reshape(n * h * w, cin)
+    else:
+        if padded == x.shape:
+            xp = x.data
+        else:
+            xp = np.zeros(padded, dtype=x.dtype)
+            xp[:, pt : pt + h, pl : pl + w, :] = x.data
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride]
+        patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+        cols = patches.reshape(n * oh * ow, kh * kw * cin)
+    kernel = weight.data
+    wmat = kernel.reshape(kh * kw * cin, cout)
     y = (cols @ wmat).reshape(n, oh, ow, cout) + bias.data.reshape(cout)
 
     grad_needed = x.requires_grad or weight.requires_grad or bias.requires_grad
@@ -242,11 +260,14 @@ def conv2d(x, weight, bias, stride=1, padding="same"):
         if bias.requires_grad:
             _accum(bias, g.astype(np.float64).sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout))
         if x.requires_grad:
-            gcols = (g2 @ wmat.T).reshape(n, oh, ow, kh, kw, cin)
-            gxp = np.zeros_like(xp)
+            # One (cin, cout) slice of the kernel per tap: the same products
+            # and sums as the full im2col gradient, without its kh*kw-fold
+            # copy of the input.
+            gxp = np.zeros(padded, dtype=x.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :] += gcols[:, :, :, i, j, :]
+                    window = gxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :]
+                    window += (g2 @ kernel[i, j].T).reshape(n, oh, ow, cin)
             _accum(x, gxp[:, pt : pt + h, pl : pl + w, :])
 
     _record("conv2d", (out,), run)
@@ -309,17 +330,22 @@ def activation(kind, x):
     d = x.data
     if kind == "relu":
         y = np.maximum(d, 0)
-        local = (d > 0).astype(d.dtype)
     elif kind == "sigmoid":
         y = _sigmoid_values(d)
-        local = y * (1.0 - y)
     elif kind == "gelu":
         cdf = 0.5 * (1.0 + erf(d * _INV_SQRT2))
         y = d * cdf
-        local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
     else:
         raise ValueError(f"unknown activation {kind!r}; expected 'relu', 'sigmoid' or 'gelu'")
     out = Tensor(y, requires_grad=x.requires_grad)
+    if not _taping(out.requires_grad):
+        return out
+    if kind == "relu":
+        local = (d > 0).astype(d.dtype)
+    elif kind == "sigmoid":
+        local = y * (1.0 - y)
+    else:
+        local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
 
     def run():
         _accum(x, out.grad * local)
@@ -375,7 +401,9 @@ def adaptive_pool(kind, x, out_size):
 
     Region (i, j) covers rows [floor(i*h/oh), ceil((i+1)*h/oh)) and the
     analogous columns. 'avg' averages each region; 'max' takes the maximum,
-    routing the gradient to the first maximum in row-major scan order.
+    routing the gradient to the first maximum in row-major scan order. With
+    no tape recording, 'max' skips locating the maximum; the value keeps its
+    bits, except that a maximum tied between +0 and -0 may take either sign.
     """
     n, h, w, c = x.shape
     oh, ow = out_size
@@ -389,16 +417,19 @@ def adaptive_pool(kind, x, out_size):
     rows = _pool_regions(h, oh)
     cols = _pool_regions(w, ow)
     y = np.empty((n, oh, ow, c), dtype=x.dtype)
+    taping = _taping(x.requires_grad)
     argmax = {} if kind == "max" else None
     for i, (r0, r1) in enumerate(rows):
         for j, (c0, c1) in enumerate(cols):
             region = x.data[:, r0:r1, c0:c1, :].reshape(n, -1, c)
             if kind == "avg":
                 y[:, i, j, :] = (_sorted_sum(region.astype(np.float64), 1) / region.shape[1]).astype(x.dtype)
-            else:
+            elif taping:
                 idx = region.argmax(axis=1)
                 y[:, i, j, :] = np.take_along_axis(region, idx[:, None, :], axis=1)[:, 0, :]
                 argmax[(i, j)] = idx
+            else:
+                y[:, i, j, :] = region.max(axis=1)
 
     out = Tensor(y, requires_grad=x.requires_grad)
 

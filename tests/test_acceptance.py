@@ -52,7 +52,7 @@ def test_criterion_1_per_op_gradient_oracle():
     report(
         1,
         worst <= 1e-3 and elapsed < 60.0,
-        f"15 ops x 100 seeds, worst {worst_op} {worst:.2e}, {elapsed:.1f}s",
+        f"{len(results)} op cases x 100 seeds, worst {worst_op} {worst:.2e}, {elapsed:.1f}s",
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 import tkfnet.tensor
 from tkfnet.cli import main
 from tkfnet.data import load_image_folder
-from tkfnet.weights import read_weights
+from tkfnet.weights import read_weights, write_weights
 
 TRAIN_CONFIG = """\
 # desk-scale training setup
@@ -333,6 +333,50 @@ class TestInfer:
         code = main(["infer", str(trained / "weights.tkfw"), str(bogus)])
         assert code == 3
         assert capsys.readouterr().err.startswith("ERR:IO:")
+
+
+def doctored_weights(trained, tmp_path, edit):
+    """A copy of the trained weights, changed by ``edit``, with its manifest."""
+    arrays = read_weights(trained / "weights.tkfw")
+    edit(arrays)
+    path = tmp_path / "weights.tkfw"
+    write_weights(path, arrays)
+    (tmp_path / "manifest.txt").write_text((trained / "manifest.txt").read_text())
+    return path
+
+
+class TestLoadPath:
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda arrays: arrays.pop("tafe.alpha"), "missing parameters: tafe.alpha"),
+            (lambda arrays: arrays.update({"tafe.ctx_conv3.weight": np.zeros((1, 1, 16, 16), np.float32)}),
+             "tafe.ctx_conv3.weight has shape"),
+        ],
+        ids=["missing_record", "wrong_shape"],
+    )
+    def test_bad_record_is_shape_error(self, trained, synth_tree, tmp_path, capsys, command, edit, reason):
+        weights = doctored_weights(trained, tmp_path, edit)
+        if command == "infer":
+            argv = ["infer", str(weights), str(synth_tree / "grating_0" / "00000.ppm")]
+        else:
+            argv = ["eval", str(weights), "--data", "synth:3x4x16"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ERR:SHAPE:")
+        assert reason in err
+
+    def test_infer_output_does_not_depend_on_seed(self, trained, synth_tree, tmp_path, capsys):
+        image = synth_tree / "grating_2" / "00001.ppm"
+        outputs = []
+        for seed in ("0", "5"):
+            out = tmp_path / f"seed{seed}"
+            code = main(["infer", str(trained / "weights.tkfw"), str(image), "--seed", seed,
+                         "--dump-attention", "--out", str(out)])
+            assert code == 0
+            outputs.append((capsys.readouterr().out, (out / "attention.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestGradcheckCommand:

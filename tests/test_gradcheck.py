@@ -102,6 +102,9 @@ class TestOpSweep:
             "concat_channels",
             "reduce_sum",
             "softmax_cross_entropy",
+            "conv2d_1x1",
+            "conv2d_1x1_stride2",
+            "conv2d_3x3",
         }
 
     def test_short_sweep_within_tolerance(self):

@@ -86,3 +86,32 @@ def test_float64_construction():
     assert all(p.dtype == np.float64 for p in model.parameters())
     x = Tensor(np.zeros((1, 16, 16, 3)))
     assert model(x).dtype == np.float64
+
+
+def test_state_build_matches_seeded_build_then_load():
+    config = model_config("small", 7)
+    state = TKFNet(config, seed=3).state_arrays()
+    x = Tensor(np.random.default_rng(4).uniform(-1, 1, size=(2, 16, 16, 3)).astype(np.float32))
+    expected = TKFNet(config, state=state)(x).data
+    for seed in (0, 5):
+        model = TKFNet(config, seed=seed)
+        model.load_state(state)
+        assert model(x).data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda state: state.pop("tafe.beta"), "missing parameters: tafe.beta"),
+        (lambda state: state.update(extra=np.zeros((1, 1, 1, 1), np.float32)), "unknown parameters: extra"),
+        (lambda state: state.update({"tafe.ctx_conv3.weight": np.zeros((1, 1, 16, 16), np.float32)}),
+         "tafe.ctx_conv3.weight has shape"),
+    ],
+    ids=["missing", "extra", "wrong_shape"],
+)
+def test_state_build_is_strict(edit, match):
+    config = model_config("small", 7)
+    state = TKFNet(config, seed=0).state_arrays()
+    edit(state)
+    with pytest.raises(ShapeError, match=match):
+        TKFNet(config, state=state)
