@@ -13,6 +13,13 @@ Differentiable calls record onto the innermost active ``Tape``. Replaying a
 tape visits operations in exact reverse execution order and accumulates into
 ``.grad`` buffers, so a tensor consumed twice receives the sum of both
 contributions.
+
+A recorded op keeps its input and output tensors. Beyond those it keeps
+only small values, such as per-channel means, softmax probabilities or
+max-pool indices, and the local derivative of sigmoid and gelu. Backward
+rebuilds what a copy or a comparison gives back: a convolution's im2col
+matrix, relu's mask and the centered values of ``spatial_moments``. The
+rebuilt values carry the forward pass's own bits, so gradients do not change.
 """
 
 import math
@@ -208,6 +215,29 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
     return oh, ow, pads
 
 
+def _im2col(data, kh, kw, stride, pads, oh, ow):
+    """The (n * oh * ow, kh * kw * cin) patch matrix of a convolution input.
+
+    Row (b, i, j) holds the zero-padded kh x kw window under output pixel
+    (i, j) of sample b, taps in row-major order with channels fastest. A 1x1
+    stride-1 kernel's matrix is the input itself, as a view.
+    """
+    n, h, w, cin = data.shape
+    if (kh, kw, stride) == (1, 1, 1):
+        return data.reshape(n * h * w, cin)
+    pt, pb, pl, pr = pads
+    padded = (n, pt + h + pb, pl + w + pr, cin)
+    if padded == data.shape:
+        xp = data
+    else:
+        xp = np.zeros(padded, dtype=data.dtype)
+        xp[:, pt : pt + h, pl : pl + w, :] = data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    return patches.reshape(n * oh * ow, kh * kw * cin)
+
+
 def conv2d(x, weight, bias, stride=1, padding="same"):
     """2-D convolution over (n, h, w, c) with kernel (kh, kw, cin, cout).
 
@@ -229,45 +259,33 @@ def conv2d(x, weight, bias, stride=1, padding="same"):
         raise ShapeError(f"conv2d bias must be (1, 1, 1, {cout}), got {bias.shape}")
     if not isinstance(stride, int) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    oh, ow, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
-
-    padded = (n, pt + h + pb, pl + w + pr, cin)
-    if (kh, kw, stride) == (1, 1, 1):
-        # The input itself is the im2col matrix of a 1x1 stride-1 kernel.
-        cols = x.data.reshape(n * h * w, cin)
-    else:
-        if padded == x.shape:
-            xp = x.data
-        else:
-            xp = np.zeros(padded, dtype=x.dtype)
-            xp[:, pt : pt + h, pl : pl + w, :] = x.data
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-        windows = windows[:, ::stride, ::stride]
-        patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-        cols = patches.reshape(n * oh * ow, kh * kw * cin)
-    kernel = weight.data
-    wmat = kernel.reshape(kh * kw * cin, cout)
+    oh, ow, pads = _conv_geometry(h, w, kh, kw, stride, padding)
+    wmat = weight.data.reshape(kh * kw * cin, cout)
+    cols = _im2col(x.data, kh, kw, stride, pads, oh, ow)
     y = (cols @ wmat).reshape(n, oh, ow, cout) + bias.data.reshape(cout)
 
     grad_needed = x.requires_grad or weight.requires_grad or bias.requires_grad
     out = Tensor(y, requires_grad=grad_needed)
 
     def run():
-        g = out.grad
-        g2 = g.reshape(n * oh * ow, cout)
+        g2 = out.grad.reshape(n * oh * ow, cout)
         if weight.requires_grad:
+            # The same copy of the input as in the forward pass, rebuilt
+            # rather than kept on the tape.
+            cols = _im2col(x.data, kh, kw, stride, pads, oh, ow)
             _accum(weight, (cols.T @ g2).reshape(kh, kw, cin, cout))
         if bias.requires_grad:
-            _accum(bias, g.astype(np.float64).sum(axis=(0, 1, 2)).reshape(1, 1, 1, cout))
+            _accum(bias, g2.sum(axis=0, dtype=np.float64).reshape(1, 1, 1, cout))
         if x.requires_grad:
             # One (cin, cout) slice of the kernel per tap: the same products
             # and sums as the full im2col gradient, without its kh*kw-fold
             # copy of the input.
-            gxp = np.zeros(padded, dtype=x.dtype)
+            pt, pb, pl, pr = pads
+            gxp = np.zeros((n, pt + h + pb, pl + w + pr, cin), dtype=x.dtype)
             for i in range(kh):
                 for j in range(kw):
                     window = gxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :]
-                    window += (g2 @ kernel[i, j].T).reshape(n, oh, ow, cin)
+                    window += (g2 @ weight.data[i, j].T).reshape(n, oh, ow, cin)
             _accum(x, gxp[:, pt : pt + h, pl : pl + w, :])
 
     _record("conv2d", (out,), run)
@@ -341,14 +359,18 @@ def activation(kind, x):
     if not _taping(out.requires_grad):
         return out
     if kind == "relu":
-        local = (d > 0).astype(d.dtype)
-    elif kind == "sigmoid":
-        local = y * (1.0 - y)
+        def run():
+            # A bool mask multiplies as 1.0 or 0.0, so the products are
+            # those of a float mask without keeping one on the tape.
+            _accum(x, out.grad * (out.data > 0))
     else:
-        local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
+        if kind == "sigmoid":
+            local = y * (1.0 - y)
+        else:
+            local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
 
-    def run():
-        _accum(x, out.grad * local)
+        def run():
+            _accum(x, out.grad * local)
 
     _record(f"activation[{kind}]", (out,), run)
     return out
@@ -380,6 +402,7 @@ def spatial_moments(x):
         if var.grad is not None:
             # d var / d x_i = 2 (x_i - mean) / count; the mean's own
             # dependence cancels because the centered values sum to zero.
+            centered = x.data.reshape(n, count, c) - mean64[:, None, :]
             gx += var.grad.reshape(n, 1, c) * 2.0 * centered / count
         _accum(x, gx.reshape(x.shape))
 

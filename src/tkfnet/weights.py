@@ -10,6 +10,7 @@ versions, duplicate names, truncation and trailing bytes all raise
 ``WeightsFormatError`` with the byte offset where parsing failed.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -49,8 +50,10 @@ def write_weights(path, arrays):
 
 
 class _Reader:
+    """Bounds-checked cursor over a buffer; ``take`` returns views, not copies."""
+
     def __init__(self, data):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
     def take(self, count, what):
@@ -73,7 +76,7 @@ def deserialize_weights(data):
     reader = _Reader(data)
     magic = reader.take(4, "magic")
     if magic != MAGIC:
-        raise WeightsFormatError(f"bad magic {magic!r} at byte 0; expected {MAGIC!r}")
+        raise WeightsFormatError(f"bad magic {bytes(magic)!r} at byte 0; expected {MAGIC!r}")
     version = reader.u32("version")
     if version != VERSION:
         raise WeightsFormatError(
@@ -88,7 +91,7 @@ def deserialize_weights(data):
             raise WeightsFormatError(f"empty tensor name at byte {name_start}")
         raw_name = reader.take(name_len, "tensor name")
         try:
-            name = raw_name.decode("utf-8")
+            name = str(raw_name, "utf-8")
         except UnicodeDecodeError as exc:
             raise WeightsFormatError(f"undecodable tensor name at byte {name_start}: {exc}") from exc
         if name in arrays:
@@ -102,12 +105,13 @@ def deserialize_weights(data):
         dims = tuple(reader.u32("dimension") for _ in range(4))
         if any(d == 0 for d in dims):
             raise WeightsFormatError(f"tensor {name!r} has zero dimension {dims} at byte {rank_start}")
-        size = int(np.prod(dims, dtype=np.int64))
+        # Python ints: a crafted header must not wrap the size to a small value.
+        size = math.prod(dims)
         payload = reader.take(size * 4, f"payload of {name!r}")
         arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    if reader.pos != len(data):
+    if reader.pos != len(reader.data):
         raise WeightsFormatError(
-            f"{len(data) - reader.pos} trailing bytes after record {count} at byte {reader.pos}"
+            f"{len(reader.data) - reader.pos} trailing bytes after record {count} at byte {reader.pos}"
         )
     return arrays
 

@@ -335,6 +335,19 @@ class TestInfer:
         assert capsys.readouterr().err.startswith("ERR:IO:")
 
 
+    def test_overflowing_dims_in_weights_is_io_error(self, synth_tree, tmp_path, capsys):
+        # Four dims of 65536 hold 2**64 elements, which wraps to 0 in int64.
+        u32 = (1).to_bytes(4, "little")
+        header = b"TKFW" + u32 + u32 + u32 + b"t" + (4).to_bytes(4, "little")
+        bad = tmp_path / "bad.tkfw"
+        bad.write_bytes(header + (65536).to_bytes(4, "little") * 4)
+        code = main(["infer", str(bad), str(synth_tree / "grating_0" / "00000.ppm")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERR:IO:")
+        assert "truncated payload of 't'" in err
+
+
 def doctored_weights(trained, tmp_path, edit):
     """A copy of the trained weights, changed by ``edit``, with its manifest."""
     arrays = read_weights(trained / "weights.tkfw")

@@ -22,6 +22,7 @@ from tkfnet.tensor import (
     conv2d,
     hadamard,
     reduce_sum,
+    spatial_moments,
 )
 
 
@@ -164,6 +165,60 @@ def test_activation_output_same_with_and_without_tape(kind):
         taped = activation(kind, x)
     assert len(tape.nodes) == 1
     assert_same_bits(untaped.data, taped.data)
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 1e-40]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_matches_float_mask_bits(dtype):
+    # Every pairing of a special input with a special upstream gradient,
+    # including inf * 0 = NaN and products that come out as -0.
+    d, g = (a.reshape(1, 8, 8, 1).astype(dtype) for a in np.meshgrid(SPECIALS, SPECIALS, indexing="ij"))
+    x = Tensor(d, requires_grad=True)
+    with Tape() as tape:
+        out = activation("relu", x)
+    out.grad = g
+    expected = np.zeros_like(d)
+    with np.errstate(invalid="ignore"):
+        tape.nodes[0].run()
+        expected += g * (d > 0).astype(dtype)
+    assert_same_bits(x.grad, expected, "relu input gradient")
+
+
+def closure_arrays(node):
+    """The ndarrays a tape node's backward holds directly, as their owners."""
+    for cell in node.run.__closure__ or ():
+        obj = cell.cell_contents
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            yield obj
+
+
+def _conv(k, stride):
+    def op(x):
+        rng = np.random.default_rng(k * 10 + stride)
+        w = Tensor(rng.normal(size=(k, k, 8, 8)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 1, 1, 8)).astype(np.float32), requires_grad=True)
+        return conv2d(x, w, b, stride=stride)
+    return op
+
+
+@pytest.mark.parametrize(
+    "op",
+    [_conv(3, 1), _conv(3, 2), _conv(1, 2), lambda x: activation("relu", x), spatial_moments],
+    ids=["conv3x3_s1", "conv3x3_s2", "conv1x1_s2", "relu", "spatial_moments"],
+)
+def test_tape_keeps_no_input_sized_arrays(op):
+    # Backward rebuilds im2col matrices, relu masks and centered values from
+    # the op's input and output, so the tape keeps nothing that large itself.
+    x = Tensor(np.random.default_rng(6).normal(size=(2, 8, 8, 8)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        op(x)
+    (node,) = tape.nodes
+    held = [a.nbytes for a in closure_arrays(node)]
+    assert all(nbytes < x.data.nbytes for nbytes in held), held
 
 
 @pytest.mark.parametrize("out_size", [(1, 1), (2, 3)])

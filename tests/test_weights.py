@@ -69,6 +69,14 @@ class TestRoundTrip:
         arrays = {f"p{i}": np.zeros((1, 1, 1, 1), dtype=np.float32) for i in range(6)}
         assert list(deserialize_weights(serialize_weights(arrays))) == list(arrays)
 
+    def test_arrays_are_owned_and_writable(self):
+        arr = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
+        for data in (serialize_weights({"t": arr}), bytearray(serialize_weights({"t": arr}))):
+            out = deserialize_weights(data)["t"]
+            assert out.flags.owndata and out.flags.writeable
+            out += 1
+            np.testing.assert_array_equal(out, arr + 1)
+
     def test_empty_container(self):
         assert deserialize_weights(serialize_weights({})) == {}
 
@@ -115,7 +123,7 @@ class TestModelStateRoundTrip:
 class TestStrictParsing:
     def test_bad_magic(self):
         data = container([], magic=b"NOPE")
-        with pytest.raises(WeightsFormatError, match="bad magic"):
+        with pytest.raises(WeightsFormatError, match="bad magic b'NOPE' at byte 0"):
             deserialize_weights(data)
 
     def test_unsupported_version(self):
@@ -160,6 +168,16 @@ class TestStrictParsing:
     def test_zero_dimension_rejected(self):
         bad = u32(1) + b"t" + u32(4) + u32(1) + u32(0) + u32(1) + u32(1)
         with pytest.raises(WeightsFormatError, match="zero dimension"):
+            deserialize_weights(MAGIC + u32(VERSION) + u32(1) + bad)
+
+    @pytest.mark.parametrize(
+        "dims", [(65536,) * 4, (2**31, 2**31, 4, 1)], ids=["65536x4", "2^31x2^31x4x1"]
+    )
+    def test_overflowing_dims_are_truncation(self, dims):
+        # The element count wraps to 0 in int64; the reader must still see
+        # that the payload is missing.
+        bad = u32(1) + b"t" + u32(4) + b"".join(u32(d) for d in dims)
+        with pytest.raises(WeightsFormatError, match="truncated payload of 't' at byte 37"):
             deserialize_weights(MAGIC + u32(VERSION) + u32(1) + bad)
 
     def test_undecodable_name_rejected(self):
