@@ -6,7 +6,8 @@ Every run that owns an output directory writes a manifest there; runs
 without one echo the manifest to stdout as '# ' comment lines.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error, 4 shape or class mismatch. All failures print a single
+3 I/O error, 4 shape or class mismatch, 5 non-finite training result (a
+diverged run writes no weights). All failures print a single
 "ERR:<CATEGORY>: reason" line to stderr.
 """
 
@@ -39,6 +40,7 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SHAPE = 4
+EXIT_NUMERIC = 5
 
 
 class CliError(Exception):
@@ -62,6 +64,10 @@ def _shape_error(message):
 
 def _verify_error(message):
     return CliError("VERIFY", EXIT_VERIFY, message)
+
+
+def _numeric_error(message):
+    return CliError("NUMERIC", EXIT_NUMERIC, message)
 
 
 @dataclass
@@ -155,9 +161,11 @@ CONFIG_PARSERS = {
 
 def _parse_config_file(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _io_error(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _config_error(f"config file {path} is not UTF-8 (byte {exc.start})") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -288,6 +296,17 @@ def _check_class_count(cfg, found, origin):
         raise _shape_error(f"config requests {cfg.classes} classes but {origin} has {found}")
 
 
+def _check_finite(records, model):
+    """Refuse a diverged run: a non-finite epoch loss or parameter."""
+    epochs = [r.epoch for r in records if not math.isfinite(r.mean_loss)]
+    params = [p.name for p in model.parameters() if not np.isfinite(p.data).all()]
+    if epochs or params:
+        raise _numeric_error(
+            f"training diverged: {len(epochs)} epochs with a non-finite loss, "
+            f"{len(params)} parameters with non-finite values; no weights written"
+        )
+
+
 def cmd_train(args):
     cfg, _ = _load_run_config(args)
     if cfg.model is None:
@@ -326,6 +345,7 @@ def cmd_train(args):
         normalize=cfg.normalize,
         progress=lambda r: print(f"epoch {r.epoch} loss {r.mean_loss:.6f} lr {r.lr:.6f}"),
     )
+    _check_finite(records, model)
 
     metrics = evaluate(model, eval_set, input_size=size, normalize=cfg.normalize)
     correct = int(np.trace(metrics.confusion))

@@ -1,15 +1,16 @@
 """Channel gating, global context encoding and the classification head.
 
-Average and max pools compress the feature map to channel vectors whose
-concatenation drives a sigmoid gate; the gated map is pooled again and passed
-through a bottlenecked pair of fully connected layers before the linear
-class head.
+Global average and max pools compress the feature map to (n, 1, 1, c)
+channel vectors whose concatenation drives a sigmoid gate; the gated map is
+pooled again and passed through a bottlenecked pair of fully connected layers
+before the linear class head. These three layers are 1x1 convolutions on the
+pooled 1x1 map.
 """
 
 import numpy as np
 
-from .layers import Conv, Dense
-from .tensor import activation, adaptive_pool, concat_channels, hadamard
+from .layers import Conv
+from .tensor import activation, concat_channels, global_pool, hadamard
 
 
 class DCIF:
@@ -28,9 +29,9 @@ class DCIF:
         self.reduction = reduction
         self.attn_conv = Conv("dcif.attn_conv", 1, 1, 2 * channels, channels, rng, dtype)
         hidden = channels // reduction
-        self.fc1 = Dense("dcif.fc1", channels, hidden, rng, dtype)
-        self.fc2 = Dense("dcif.fc2", hidden, channels, rng, dtype)
-        self.head = Dense("dcif.head", channels, classes, rng, dtype)
+        self.fc1 = Conv("dcif.fc1", 1, 1, channels, hidden, rng, dtype)
+        self.fc2 = Conv("dcif.fc2", 1, 1, hidden, channels, rng, dtype)
+        self.head = Conv("dcif.head", 1, 1, channels, classes, rng, dtype)
 
     def attention(self, features):
         """Gate the features per channel; returns (gated, gate).
@@ -38,15 +39,15 @@ class DCIF:
         The gate is sigmoid of a 1x1 convolution over the concatenated
         average-pool and max-pool summaries, so every entry is in (0, 1).
         """
-        avg = adaptive_pool("avg", features, (1, 1))
-        mx = adaptive_pool("max", features, (1, 1))
+        avg = global_pool("avg", features)
+        mx = global_pool("max", features)
         pooled = concat_channels(avg, mx)
         gate = activation("sigmoid", self.attn_conv(pooled))
         return hadamard(features, gate), gate
 
     def encode(self, gated):
         """Global context vector from the pooled gated features."""
-        pooled = adaptive_pool("avg", gated, (1, 1))
+        pooled = global_pool("avg", gated)
         return self.fc2(activation("relu", self.fc1(pooled)))
 
     def logits(self, context):

@@ -7,18 +7,19 @@ so the difference quotients keep enough significant digits to certify the
 1e-3 and 1e-2 tolerances.
 """
 
+from functools import partial
+
 import numpy as np
 
 from .tensor import (
     Tape,
     Tensor,
     activation,
-    adaptive_pool,
     add,
     concat_channels,
     conv2d,
+    global_pool,
     hadamard,
-    linear,
     reduce_sum,
     scale,
     softmax_cross_entropy,
@@ -114,52 +115,48 @@ def _separated(rng, shape, dtype, gap=0.05, jitter=0.01):
     return vals.reshape(shape).astype(dtype)
 
 
-def _conv_case(kernel, x_shape, stride=None):
-    """Probe of a square-kernel conv; a None stride draws 1 or 2 per seed."""
+def _draw(shape, lo=-2.0, hi=2.0, avoid=None):
+    """Input maker: uniform values, optionally pushed out of a band ``avoid``."""
+
+    def make(rng, dtype):
+        vals = _uniform(rng, shape, dtype, lo, hi)
+        return vals if avoid is None else _shift_away(vals, *avoid).astype(dtype)
+
+    return make
+
+
+def _spread(shape):
+    """Input maker: distinct values, far enough apart that no maximum moves."""
+    return lambda rng, dtype: _separated(rng, shape, dtype)
+
+
+def _probe(op, *makers):
+    """Case builder for ``reduce_sum(hadamard(op(*inputs), cw))``.
+
+    The inputs are drawn in the order of ``makers``, then the coefficients
+    ``cw`` over the shape of the op's output.
+    """
 
     def build(rng, dtype):
-        step = int(rng.integers(1, 3)) if stride is None else stride
-        padding = "same" if rng.integers(0, 2) else "valid"
-        cin = x_shape[3]
-        x = Tensor(_uniform(rng, x_shape, dtype), requires_grad=True)
-        w = Tensor(_uniform(rng, (kernel, kernel, cin, 2), dtype, -1.0, 1.0), requires_grad=True)
-        b = Tensor(_uniform(rng, (1, 1, 1, 2), dtype), requires_grad=True)
-        probe = conv2d(x, w, b, stride=step, padding=padding)
-        cw = _weight_tensor(rng, probe.shape, dtype)
+        inputs = [Tensor(make(rng, dtype), requires_grad=True) for make in makers]
+        cw = _weight_tensor(rng, op(*inputs).shape, dtype)
 
-        def f(x, w, b):
-            return reduce_sum(hadamard(conv2d(x, w, b, stride=step, padding=padding), cw))
+        def f(*ts):
+            return reduce_sum(hadamard(op(*ts), cw))
 
-        return f, [x, w, b]
+        return f, inputs
 
     return build
 
 
-def _case_linear(rng, dtype):
-    x = Tensor(_uniform(rng, (3, 1, 1, 4), dtype), requires_grad=True)
-    w = Tensor(_uniform(rng, (1, 1, 4, 3), dtype, -1.0, 1.0), requires_grad=True)
-    b = Tensor(_uniform(rng, (1, 1, 1, 3), dtype), requires_grad=True)
-    probe = linear(x, w, b)
-    cw = _weight_tensor(rng, probe.shape, dtype)
+def _conv_case(kernel, x_shape, stride=None):
+    """Probe of a square-kernel conv; a None stride draws 1 or 2 per seed."""
+    makers = (_draw(x_shape), _draw((kernel, kernel, x_shape[3], 2), -1.0, 1.0), _draw((1, 1, 1, 2)))
 
-    def f(x, w, b):
-        return reduce_sum(hadamard(linear(x, w, b), cw))
-
-    return f, [x, w, b]
-
-
-def _activation_case(kind, avoid=None):
     def build(rng, dtype):
-        vals = _uniform(rng, (2, 2, 2, 4), dtype)
-        if avoid is not None:
-            vals = _shift_away(vals, *avoid).astype(dtype)
-        x = Tensor(vals, requires_grad=True)
-        cw = _weight_tensor(rng, x.shape, dtype)
-
-        def f(x):
-            return reduce_sum(hadamard(activation(kind, x), cw))
-
-        return f, [x]
+        step = int(rng.integers(1, 3)) if stride is None else stride
+        padding = "same" if rng.integers(0, 2) else "valid"
+        return _probe(partial(conv2d, stride=step, padding=padding), *makers)(rng, dtype)
 
     return build
 
@@ -176,90 +173,8 @@ def _case_spatial_moments(rng, dtype):
     return f, [x]
 
 
-def _case_avg_pool(rng, dtype):
-    out_size = [(1, 1), (2, 2), (3, 3)][int(rng.integers(0, 3))]
-    x = Tensor(_uniform(rng, (1, 4, 4, 4), dtype), requires_grad=True)
-    cw = _weight_tensor(rng, (1, *out_size, 4), dtype)
-
-    def f(x):
-        return reduce_sum(hadamard(adaptive_pool("avg", x, out_size), cw))
-
-    return f, [x]
-
-
-def _case_max_pool(rng, dtype):
-    out_size = [(1, 1), (2, 2), (3, 3)][int(rng.integers(0, 3))]
-    x = Tensor(_separated(rng, (1, 4, 4, 4), dtype), requires_grad=True)
-    cw = _weight_tensor(rng, (1, *out_size, 4), dtype)
-
-    def f(x):
-        return reduce_sum(hadamard(adaptive_pool("max", x, out_size), cw))
-
-    return f, [x]
-
-
-def _case_hadamard_full(rng, dtype):
-    x = Tensor(_uniform(rng, (2, 2, 2, 4), dtype), requires_grad=True)
-    y = Tensor(_uniform(rng, (2, 2, 2, 4), dtype), requires_grad=True)
-    cw = _weight_tensor(rng, x.shape, dtype)
-
-    def f(x, y):
-        return reduce_sum(hadamard(hadamard(x, y), cw))
-
-    return f, [x, y]
-
-
-def _case_hadamard_vector(rng, dtype):
-    x = Tensor(_uniform(rng, (2, 2, 2, 4), dtype), requires_grad=True)
-    y = Tensor(_uniform(rng, (2, 1, 1, 4), dtype), requires_grad=True)
-    cw = _weight_tensor(rng, x.shape, dtype)
-
-    def f(x, y):
-        return reduce_sum(hadamard(hadamard(x, y), cw))
-
-    return f, [x, y]
-
-
-def _case_scale(rng, dtype):
-    x = Tensor(_uniform(rng, (2, 2, 2, 3), dtype), requires_grad=True)
-    s = Tensor(_uniform(rng, (1, 1, 1, 1), dtype), requires_grad=True)
-    cw = _weight_tensor(rng, x.shape, dtype)
-
-    def f(x, s):
-        return reduce_sum(hadamard(scale(x, s), cw))
-
-    return f, [x, s]
-
-
-def _case_add(rng, dtype):
-    x = Tensor(_uniform(rng, (2, 2, 2, 3), dtype), requires_grad=True)
-    y = Tensor(_uniform(rng, (2, 2, 2, 3), dtype), requires_grad=True)
-    cw = _weight_tensor(rng, x.shape, dtype)
-
-    def f(x, y):
-        return reduce_sum(hadamard(add(x, y), cw))
-
-    return f, [x, y]
-
-
-def _case_concat(rng, dtype):
-    a = Tensor(_uniform(rng, (2, 2, 2, 3), dtype), requires_grad=True)
-    b = Tensor(_uniform(rng, (2, 2, 2, 3), dtype), requires_grad=True)
-    cw = _weight_tensor(rng, (2, 2, 2, 6), dtype)
-
-    def f(a, b):
-        return reduce_sum(hadamard(concat_channels(a, b), cw))
-
-    return f, [a, b]
-
-
 def _case_reduce_sum(rng, dtype):
-    x = Tensor(_uniform(rng, (2, 2, 2, 4), dtype), requires_grad=True)
-
-    def f(x):
-        return reduce_sum(x)
-
-    return f, [x]
+    return reduce_sum, [Tensor(_uniform(rng, (2, 2, 2, 4), dtype), requires_grad=True)]
 
 
 def _case_cross_entropy(rng, dtype):
@@ -272,21 +187,27 @@ def _case_cross_entropy(rng, dtype):
     return f, [logits]
 
 
-# The gelu derivative crosses zero near x = -0.7518; relu kinks at zero.
+_MAP = (2, 2, 2, 4)
+_MAP3 = (2, 2, 2, 3)
+_POOLED = (2, 3, 4, 3)
+
+# Each case keeps its slot: the sweep seeds case i with [97, i, seed]. The
+# gelu derivative crosses zero near x = -0.7518; relu kinks at zero.
 OP_CASES = {
     "conv2d": _conv_case(2, (1, 3, 3, 2)),
-    "linear": _case_linear,
-    "relu": _activation_case("relu", avoid=(0.0, 0.05)),
-    "sigmoid": _activation_case("sigmoid"),
-    "gelu": _activation_case("gelu", avoid=(-0.7518, 0.15)),
+    # A fully connected layer: a 1x1 conv on a (n, 1, 1, cin) vector.
+    "conv2d_1x1_vector": _conv_case(1, (3, 1, 1, 4), stride=1),
+    "relu": _probe(partial(activation, "relu"), _draw(_MAP, avoid=(0.0, 0.05))),
+    "sigmoid": _probe(partial(activation, "sigmoid"), _draw(_MAP)),
+    "gelu": _probe(partial(activation, "gelu"), _draw(_MAP, avoid=(-0.7518, 0.15))),
     "spatial_moments": _case_spatial_moments,
-    "adaptive_pool_avg": _case_avg_pool,
-    "adaptive_pool_max": _case_max_pool,
-    "hadamard": _case_hadamard_full,
-    "hadamard_vector": _case_hadamard_vector,
-    "scale": _case_scale,
-    "add": _case_add,
-    "concat_channels": _case_concat,
+    "global_pool_avg": _probe(partial(global_pool, "avg"), _draw(_POOLED)),
+    "global_pool_max": _probe(partial(global_pool, "max"), _spread(_POOLED)),
+    "hadamard": _probe(hadamard, _draw(_MAP), _draw(_MAP)),
+    "hadamard_vector": _probe(hadamard, _draw(_MAP), _draw((2, 1, 1, 4))),
+    "scale": _probe(scale, _draw(_MAP3), _draw((1, 1, 1, 1))),
+    "add": _probe(add, _draw(_MAP3), _draw(_MAP3)),
+    "concat_channels": _probe(concat_channels, _draw(_MAP3), _draw(_MAP3)),
     "reduce_sum": _case_reduce_sum,
     "softmax_cross_entropy": _case_cross_entropy,
     # The 1x1 stride-1 conv reads its input as the im2col matrix; the
@@ -310,16 +231,6 @@ def per_op_sweep(seeds=100, eps=1e-3, dtype=np.float64):
     return results
 
 
-def _probe_sum(block, x, rng, dtype):
-    probe = block(x)
-    cw = _weight_tensor(rng, probe.shape, dtype)
-
-    def f(*_):
-        return reduce_sum(hadamard(block(x), cw))
-
-    return f
-
-
 def _sample_coords(inputs, count, rng, required=()):
     sizes = [t.size for t in inputs]
     offsets = np.cumsum([0] + sizes)
@@ -341,13 +252,12 @@ def check_backbone(seed=0, eps=1e-3, param_samples=100):
     dtype = np.float64
     backbone = build_backbone(cfg, seed=seed, dtype=dtype)
     rng = np.random.default_rng([211, seed])
-    x = Tensor(_uniform(rng, (1, 8, 8, 3), dtype, -1.0, 1.0), requires_grad=True)
-    f = _probe_sum(backbone, x, rng, dtype)
-    params = backbone.parameters()
-    inputs = [x] + params
+    f, (x,) = _probe(backbone, _draw((1, 8, 8, 3), -1.0, 1.0))(rng, dtype)
+    inputs = [x] + backbone.parameters()
     coords = [(0, j) for j in range(x.size)]
     coords += _sample_coords(inputs, param_samples, rng)
-    return grad_check(f, inputs, eps=eps, coords=coords)
+    # The parameters are perturbed in place, where the block reads them.
+    return grad_check(lambda x, *_: f(x), inputs, eps=eps, coords=coords)
 
 
 def check_tafe(seed=0, eps=1e-3):
@@ -356,9 +266,8 @@ def check_tafe(seed=0, eps=1e-3):
     dtype = np.float64
     rng = np.random.default_rng([223, seed])
     block = TAFE(4, rng=np.random.default_rng([223, seed, 1]), dtype=dtype)
-    x = Tensor(_uniform(rng, (1, 4, 4, 4), dtype, -1.0, 1.0), requires_grad=True)
-    f = _probe_sum(block, x, rng, dtype)
-    return grad_check(f, [x] + block.parameters(), eps=eps)
+    f, (x,) = _probe(block, _draw((1, 4, 4, 4), -1.0, 1.0))(rng, dtype)
+    return grad_check(lambda x, *_: f(x), [x] + block.parameters(), eps=eps)
 
 
 def check_dcif(seed=0, eps=1e-3):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .tensor import Parameter, conv2d, linear
+from .tensor import Parameter, conv2d
 
 
 def he_normal(rng, shape, fan_in, dtype):
@@ -28,21 +28,6 @@ class Conv:
 
     def __call__(self, x, stride=1, padding="same"):
         return conv2d(x, self.weight, self.bias, stride=stride, padding=padding)
-
-    def parameters(self):
-        return [self.weight, self.bias]
-
-
-class Dense:
-    """A fully connected layer's weight and bias."""
-
-    def __init__(self, name, cin, cout, rng, dtype=np.float32):
-        weight = he_normal(rng, (1, 1, cin, cout), cin, dtype)
-        self.weight = Parameter(f"{name}.weight", weight)
-        self.bias = Parameter(f"{name}.bias", np.zeros((1, 1, 1, cout), dtype=dtype))
-
-    def __call__(self, x):
-        return linear(x, self.weight, self.bias)
 
     def parameters(self):
         return [self.weight, self.bias]

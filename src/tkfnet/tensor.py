@@ -2,12 +2,13 @@
 
 Every value handled by the network is a dense (batch, height, width, channel)
 array: feature maps directly, convolution kernels as (kh, kw, cin, cout),
-weight matrices as (1, 1, cin, cout), per-channel vectors as (n, 1, 1, c) and
-scalars as (1, 1, 1, 1). Storage defaults to float32 and may be float64 for
-verification work; reductions always accumulate in float64. The purely
-spatial reductions (moments, average pooling) sum their operands in sorted
-order, so spatially permuting an input reproduces the reduced values bit for
-bit.
+per-channel vectors as (n, 1, 1, c) and scalars as (1, 1, 1, 1). A fully
+connected layer is a 1x1 kernel applied to a (n, 1, 1, cin) vector, and
+pooling is global, from (n, h, w, c) to (n, 1, 1, c). Storage defaults to
+float32 and may be float64 for verification work; reductions always
+accumulate in float64. The purely spatial reductions (moments, average
+pooling) sum their operands in sorted order, so spatially permuting an input
+reproduces the reduced values bit for bit.
 
 Differentiable calls record onto the innermost active ``Tape``. Replaying a
 tape visits operations in exact reverse execution order and accumulates into
@@ -292,41 +293,6 @@ def conv2d(x, weight, bias, stride=1, padding="same"):
     return out
 
 
-def linear(x, weight, bias):
-    """Fully connected layer on channel vectors.
-
-    ``x`` must be (n, 1, 1, cin); ``weight`` is a (1, 1, cin, cout) matrix and
-    ``bias`` a (1, 1, 1, cout) vector.
-    """
-    n, h, w, cin = x.shape
-    if (h, w) != (1, 1):
-        raise ShapeError(f"linear expects (n, 1, 1, c) inputs, got {x.shape}")
-    kh, kw, wcin, cout = weight.shape
-    if (kh, kw) != (1, 1) or wcin != cin:
-        raise ShapeError(
-            f"linear weight must be (1, 1, {cin}, cout), got {weight.shape}"
-        )
-    if bias.shape != (1, 1, 1, cout):
-        raise ShapeError(f"linear bias must be (1, 1, 1, {cout}), got {bias.shape}")
-
-    x2 = x.data.reshape(n, cin)
-    wmat = weight.data.reshape(cin, cout)
-    y = (x2 @ wmat + bias.data.reshape(cout)).reshape(n, 1, 1, cout)
-    out = Tensor(y, requires_grad=x.requires_grad or weight.requires_grad or bias.requires_grad)
-
-    def run():
-        g2 = out.grad.reshape(n, cout)
-        if x.requires_grad:
-            _accum(x, (g2 @ wmat.T).reshape(n, 1, 1, cin))
-        if weight.requires_grad:
-            _accum(weight, (x2.T @ g2).reshape(1, 1, cin, cout))
-        if bias.requires_grad:
-            _accum(bias, g2.astype(np.float64).sum(axis=0).reshape(1, 1, 1, cout))
-
-    _record("linear", (out,), run)
-    return out
-
-
 def _sigmoid_values(d):
     y = np.empty_like(d)
     pos = d >= 0
@@ -410,73 +376,41 @@ def spatial_moments(x):
     return mean, var
 
 
-def _pool_regions(extent, target):
-    bounds = []
-    for i in range(target):
-        lo = (i * extent) // target
-        hi = -((-(i + 1) * extent) // target)
-        bounds.append((lo, hi))
-    return bounds
+def global_pool(kind, x):
+    """Global spatial pooling of (n, h, w, c) to (n, 1, 1, c).
 
-
-def adaptive_pool(kind, x, out_size):
-    """Adaptive spatial pooling to a fixed (oh, ow) grid.
-
-    Region (i, j) covers rows [floor(i*h/oh), ceil((i+1)*h/oh)) and the
-    analogous columns. 'avg' averages each region; 'max' takes the maximum,
+    'avg' averages over the whole spatial extent; 'max' takes the maximum,
     routing the gradient to the first maximum in row-major scan order. With
     no tape recording, 'max' skips locating the maximum; the value keeps its
     bits, except that a maximum tied between +0 and -0 may take either sign.
     """
     n, h, w, c = x.shape
-    oh, ow = out_size
-    if not (1 <= oh <= h and 1 <= ow <= w):
-        raise ShapeError(
-            f"adaptive_pool target {out_size} must be within the input extent ({h}, {w})"
-        )
+    if h * w == 0:
+        raise ShapeError(f"global_pool needs a non-empty spatial extent, got {x.shape}")
     if kind not in ("avg", "max"):
         raise ValueError(f"unknown pooling kind {kind!r}; expected 'avg' or 'max'")
-
-    rows = _pool_regions(h, oh)
-    cols = _pool_regions(w, ow)
-    y = np.empty((n, oh, ow, c), dtype=x.dtype)
-    taping = _taping(x.requires_grad)
-    argmax = {} if kind == "max" else None
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            region = x.data[:, r0:r1, c0:c1, :].reshape(n, -1, c)
-            if kind == "avg":
-                y[:, i, j, :] = (_sorted_sum(region.astype(np.float64), 1) / region.shape[1]).astype(x.dtype)
-            elif taping:
-                idx = region.argmax(axis=1)
-                y[:, i, j, :] = np.take_along_axis(region, idx[:, None, :], axis=1)[:, 0, :]
-                argmax[(i, j)] = idx
-            else:
-                y[:, i, j, :] = region.max(axis=1)
-
-    out = Tensor(y, requires_grad=x.requires_grad)
+    count = h * w
+    flat = x.data.reshape(n, count, c)
+    idx = None
+    if kind == "avg":
+        y = (_sorted_sum(flat.astype(np.float64), 1) / count).astype(x.dtype)
+    elif _taping(x.requires_grad):
+        idx = flat.argmax(axis=1)[:, None, :]
+        y = np.take_along_axis(flat, idx, axis=1)
+    else:
+        y = flat.max(axis=1)
+    out = Tensor(y.reshape(n, 1, 1, c), requires_grad=x.requires_grad)
 
     def run():
-        g = out.grad
-        gx = np.zeros(x.shape)
-        batch_idx = np.arange(n)[:, None]
-        chan_idx = np.arange(c)[None, :]
-        for i, (r0, r1) in enumerate(rows):
-            for j, (c0, c1) in enumerate(cols):
-                if kind == "avg":
-                    count = (r1 - r0) * (c1 - c0)
-                    gx[:, r0:r1, c0:c1, :] += g[:, i : i + 1, j : j + 1, :] / count
-                else:
-                    idx = argmax[(i, j)]
-                    rcols = c1 - c0
-                    np.add.at(
-                        gx,
-                        (batch_idx, r0 + idx // rcols, c0 + idx % rcols, chan_idx),
-                        g[:, i, j, :],
-                    )
-        _accum(x, gx)
+        g = out.grad.reshape(n, 1, c)
+        if kind == "avg":
+            _accum(x, np.broadcast_to(g / count, (n, count, c)))
+        else:
+            gx = np.zeros((n, count, c), dtype=x.dtype)
+            np.put_along_axis(gx, idx, g, axis=1)
+            _accum(x, gx)
 
-    _record(f"adaptive_pool[{kind}]", (out,), run)
+    _record(f"global_pool[{kind}]", (out,), run)
     return out
 
 

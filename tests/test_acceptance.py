@@ -20,8 +20,8 @@ from tkfnet.dcif import DCIF
 from tkfnet.tensor import (
     Tape,
     Tensor,
-    adaptive_pool,
     add,
+    global_pool,
     scale,
     scalar_tensor,
     softmax_cross_entropy,
@@ -233,8 +233,8 @@ def test_criterion_10_attention_invariants():
     # (b) Constant inputs make the average and maximum pooling summaries
     # bit-identical.
     const = Tensor(np.full((1, 5, 5, 8), 0.7, dtype=np.float32))
-    avg = adaptive_pool("avg", const, (1, 1))
-    mx = adaptive_pool("max", const, (1, 1))
+    avg = global_pool("avg", const)
+    mx = global_pool("max", const)
     pools_identical = avg.data.tobytes() == mx.data.tobytes()
 
     # (c) Spatially permuting the texture branch leaves its descriptor

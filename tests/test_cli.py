@@ -119,6 +119,20 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr().err.startswith("ERR:IO:")
 
+    def test_diverged_run_is_numeric_error_and_writes_no_weights(self, tmp_path, capsys):
+        # At lr 1000 every epoch loss is NaN and so is nearly every weight.
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG + "lr_init = 1000\nlr_end = 1000\n")
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(config), "--out", str(out), "--epochs", "2"])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert "loss nan" in captured.out
+        assert captured.err.startswith("ERR:NUMERIC:") and captured.err.count("\n") == 1
+        for name in ("weights.tkfw", "metrics.tsv", "final.txt"):
+            assert not (out / name).exists(), name
+
 
 class TestConfigFile:
     def test_unknown_key_names_location(self, tmp_path, capsys):
@@ -142,6 +156,13 @@ class TestConfigFile:
         config.write_text("epochs = -3\n")
         assert main(["train", "--config", str(config)]) == 2
         assert "epochs" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"model = sm\xe9ll\n")
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERR:CONFIG:") and "bad.cfg" in err and "UTF-8" in err
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "absent.cfg")])

@@ -1,9 +1,11 @@
 """The fast forward and backward paths against the plain ones, bit for bit.
 
 The references below are the straightforward forms: im2col through a
-sliding-window view with a col2im scatter of the full column gradient, and a
-bilinear resize that gathers all four corners at the output size. The fast
-paths must reproduce their float bits exactly, not just within a tolerance.
+sliding-window view with a col2im scatter of the full column gradient, a
+bilinear resize that gathers all four corners at the output size, a fully
+connected layer as its own matrix product, and pooling over a one-region grid
+with a scatter-add of the max gradient. The fast paths must reproduce their
+float bits exactly, not just within a tolerance.
 """
 
 import numpy as np
@@ -17,9 +19,11 @@ from tkfnet.tensor import (
     _accum,
     _conv_geometry,
     _record,
+    _sorted_sum,
+    _taping,
     activation,
-    adaptive_pool,
     conv2d,
+    global_pool,
     hadamard,
     reduce_sum,
     spatial_moments,
@@ -77,6 +81,51 @@ def reference_resize(arr, th, tw):
     top = (1 - wc) * tl + wc * tr
     bottom = (1 - wc) * bl + wc * br
     return (1 - wr) * top + wr * bottom
+
+
+def reference_linear(x, weight, bias):
+    n, _, _, cin = x.shape
+    cout = weight.shape[3]
+    x2 = x.data.reshape(n, cin)
+    wmat = weight.data.reshape(cin, cout)
+    y = (x2 @ wmat + bias.data.reshape(cout)).reshape(n, 1, 1, cout)
+    out = Tensor(y, requires_grad=True)
+
+    def run():
+        g2 = out.grad.reshape(n, cout)
+        _accum(x, (g2 @ wmat.T).reshape(n, 1, 1, cin))
+        _accum(weight, (x2.T @ g2).reshape(1, 1, cin, cout))
+        _accum(bias, g2.astype(np.float64).sum(axis=0).reshape(1, 1, 1, cout))
+
+    _record("linear", (out,), run)
+    return out
+
+
+def reference_pool(kind, x):
+    """Adaptive pooling to a (1, 1) grid: one region, the whole input."""
+    n, h, w, c = x.shape
+    region = x.data.reshape(n, -1, c)
+    if kind == "avg":
+        y = (_sorted_sum(region.astype(np.float64), 1) / region.shape[1]).astype(x.dtype)
+    elif _taping(x.requires_grad):
+        idx = region.argmax(axis=1)
+        y = np.take_along_axis(region, idx[:, None, :], axis=1)[:, 0, :]
+    else:
+        y = region.max(axis=1)
+    out = Tensor(y.reshape(n, 1, 1, c), requires_grad=x.requires_grad)
+
+    def run():
+        g = out.grad
+        gx = np.zeros(x.shape)
+        if kind == "avg":
+            gx += g / (h * w)
+        else:
+            index = (np.arange(n)[:, None], idx // w, idx % w, np.arange(c)[None, :])
+            np.add.at(gx, index, g[:, 0, 0, :])
+        _accum(x, gx)
+
+    _record(f"adaptive_pool[{kind}]", (out,), run)
+    return out
 
 
 def conv_output_and_grads(conv, x, w, b, upstream, stride, padding):
@@ -221,15 +270,68 @@ def test_tape_keeps_no_input_sized_arrays(op):
     assert all(nbytes < x.data.nbytes for nbytes in held), held
 
 
-@pytest.mark.parametrize("out_size", [(1, 1), (2, 3)])
-def test_max_pool_output_same_with_and_without_tape(out_size):
-    data = np.random.default_rng(2).normal(size=(2, 5, 6, 4)).astype(np.float32)
+@pytest.mark.parametrize("shape", [(2, 5, 6, 4), (3, 1, 7, 2)])
+def test_max_pool_output_same_with_and_without_tape(shape):
+    data = np.random.default_rng(2).normal(size=shape).astype(np.float32)
     x = Tensor(data, requires_grad=True)
-    untaped = adaptive_pool("max", x, out_size)
+    untaped = global_pool("max", x)
     with Tape() as tape:
-        taped = adaptive_pool("max", x, out_size)
+        taped = global_pool("max", x)
     assert len(tape.nodes) == 1
     assert_same_bits(untaped.data, taped.data)
+
+
+# Inputs to the pooling and fully connected bit tests: continuous values,
+# small integers full of tied maxima, and the special values.
+BIT_INPUTS = {
+    "normal": lambda rng, shape, dtype: rng.normal(size=shape).astype(dtype),
+    "ties": lambda rng, shape, dtype: rng.integers(-2, 2, size=shape).astype(dtype),
+    "specials": lambda rng, shape, dtype: rng.choice(np.array(SPECIALS), size=shape).astype(dtype),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 3), (2, 5, 6, 4), (8, 7, 7, 64)], ids=str)
+@pytest.mark.parametrize("inputs", list(BIT_INPUTS))
+@pytest.mark.parametrize("kind", ["avg", "max"])
+def test_global_pool_matches_reference_bits(kind, inputs, shape, dtype):
+    rng = np.random.default_rng(list(shape))
+    data = BIT_INPUTS[inputs](rng, shape, dtype)
+    upstream = BIT_INPUTS[inputs](rng, (shape[0], 1, 1, shape[3]), dtype)
+    results = []
+    for pool in (global_pool, reference_pool):
+        x = Tensor(data.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            untaped = pool(kind, x)
+            with Tape() as tape:
+                out = pool(kind, x)
+                tape.backward(reduce_sum(hadamard(out, Tensor(upstream))))
+        results.append((untaped.data, out.data, x.grad))
+    for name, a, b in zip(("untaped output", "taped output", "x grad"), *results):
+        assert_same_bits(a, b, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, cin, cout", [(1, 4, 3), (8, 16, 4), (8, 64, 16), (8, 256, 7), (2, 256, 64)])
+@pytest.mark.parametrize("inputs", ["normal", "specials"])
+def test_1x1_conv_matches_reference_linear_bits(inputs, n, cin, cout, dtype):
+    rng = np.random.default_rng([n, cin, cout])
+    make = BIT_INPUTS[inputs]
+    x = make(rng, (n, 1, 1, cin), dtype)
+    weight = rng.normal(size=(1, 1, cin, cout)).astype(dtype)
+    bias = rng.normal(size=(1, 1, 1, cout)).astype(dtype)
+    upstream = make(rng, (n, 1, 1, cout), dtype)
+
+    def linear(x, w, b, stride, padding):
+        return reference_linear(x, w, b)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        fast = conv_output_and_grads(conv2d, x, weight, bias, upstream, 1, "same")
+        ref = conv_output_and_grads(linear, x, weight, bias, upstream, 1, "same")
+        untaped = [op(Tensor(x), Tensor(weight), Tensor(bias), 1, "same").data for op in (conv2d, linear)]
+    for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), fast, ref):
+        assert_same_bits(a, b, name)
+    assert_same_bits(*untaped, "untaped output")
 
 
 def test_model_forward_same_with_and_without_tape():

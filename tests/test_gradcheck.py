@@ -17,7 +17,8 @@ from tkfnet.gradcheck import (
     run_suite,
     suite_checks,
 )
-from tkfnet.tensor import Tensor, activation, hadamard, reduce_sum
+from tkfnet.model import TKFNet, model_config
+from tkfnet.tensor import Tape, Tensor, activation, hadamard, reduce_sum, softmax_cross_entropy
 
 
 def quadratic_case(seed=0):
@@ -88,13 +89,13 @@ class TestOpSweep:
     def test_every_op_has_a_case(self):
         assert set(OP_CASES) == {
             "conv2d",
-            "linear",
+            "conv2d_1x1_vector",
             "relu",
             "sigmoid",
             "gelu",
             "spatial_moments",
-            "adaptive_pool_avg",
-            "adaptive_pool_max",
+            "global_pool_avg",
+            "global_pool_max",
             "hadamard",
             "hadamard_vector",
             "scale",
@@ -106,6 +107,25 @@ class TestOpSweep:
             "conv2d_1x1_stride2",
             "conv2d_3x3",
         }
+
+    def test_every_model_op_has_a_case(self):
+        # An op the model records but no probe case records has no
+        # finite-difference check; adding one to the model fails here.
+        model = TKFNet(model_config("small", 3), seed=0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.uniform(-1.0, 1.0, size=(2, 16, 16, 3)).astype(np.float32))
+        with Tape() as tape:
+            loss = softmax_cross_entropy(model(x), np.array([0, 2]))
+        tape.backward(loss)
+        model_ops = {node.op for node in tape.nodes}
+        case_ops = set()
+        for builder in OP_CASES.values():
+            f, inputs = builder(np.random.default_rng(0), np.float64)
+            with Tape() as case_tape:
+                f(*inputs)
+            case_ops |= {node.op for node in case_tape.nodes}
+        assert "global_pool[max]" in model_ops
+        assert model_ops <= case_ops, sorted(model_ops - case_ops)
 
     def test_short_sweep_within_tolerance(self):
         results = per_op_sweep(seeds=5)

@@ -1,8 +1,9 @@
-"""Property tests: the binary parsers accept or reject any byte string cleanly.
+"""Property tests: the file parsers accept or reject any byte string cleanly.
 
-Every input either parses or raises the parser's documented error type,
-never anything else. Examples are drawn from a fixed seed with no deadline,
-so the suite stays deterministic and free of timing gates.
+Every input to the weights, PPM and config parsers either parses or raises
+the parser's documented error type, never anything else. Examples are drawn
+from a fixed seed with no deadline, so the suite stays deterministic and free
+of timing gates.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkfnet.cli import CONFIG_PARSERS, CliError, _parse_config_file
 from tkfnet.data import DataError, decode_ppm
 from tkfnet.weights import MAGIC, VERSION, WeightsFormatError, deserialize_weights, serialize_weights
 
@@ -92,3 +94,44 @@ def test_ppm_decode_or_raise_data_error(data):
         _, h, w, c = image.shape
         assert c == 3 and h >= 1 and w >= 1
         assert 0.0 <= image.data.min() and image.data.max() <= 1.0
+
+
+# One value each key's parser accepts, and values that some parsers reject.
+CONFIG_VALID = {
+    "model": "small", "classes": "3", "epochs": "2", "batch_size": "4",
+    "lr_init": "0.01", "lr_end": "0", "power": "0.5", "momentum": "0.9",
+    "seed": "-7", "input_size": "16", "normalize": "off", "val_split": "0.25",
+    "data": "synth:3x4x16", "out": "runs/a b",
+}
+CONFIG_INVALID = ["", "x", "-3", "1e999", "nan", "1.5", "0"]
+
+
+@st.composite
+def config_like(draw):
+    """Config files built line by line, each part usually valid: known keys,
+    '=' separators, accepted values, comments and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(mostly(draw(st.sampled_from(sorted(CONFIG_VALID))), "learning_rate", "mo del"))
+        value = draw(st.one_of(mostly(CONFIG_VALID.get(key, "1"), *CONFIG_INVALID), st.text(max_size=3)))
+        sep = draw(mostly(" = ", "=", ":"))
+        comment = draw(mostly("", " # note", "#=", "\n"))
+        lines.append(f"{key}{sep}{value}{comment}")
+    return finish(draw, "\n".join(lines).encode())
+
+
+@FIXED
+@given(st.one_of(st.binary(max_size=64), config_like()))
+def test_config_parse_or_raise_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    path.write_bytes(data)
+    try:
+        values = _parse_config_file(path)
+    except CliError as exc:
+        assert exc.category == "CONFIG"
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert str(path) in str(exc)
+    else:
+        assert set(values) <= set(CONFIG_PARSERS)

@@ -8,13 +8,12 @@ from tkfnet.tensor import (
     Tape,
     Tensor,
     activation,
-    adaptive_pool,
     add,
     channel_vector,
     concat_channels,
     conv2d,
+    global_pool,
     hadamard,
-    linear,
     reduce_sum,
     scalar_tensor,
     scale,
@@ -100,12 +99,15 @@ class TestConv2d:
 
 
 class TestLinear:
+    """A fully connected layer: a 1x1 conv on (n, 1, 1, c) vectors."""
+
     def test_hand_case(self):
         # [1, 2] @ 3I + [1, 1] = [4, 7]
         x = t(np.array([1.0, 2.0]).reshape(1, 1, 1, 2))
         w = t((3.0 * np.eye(2)).reshape(1, 1, 2, 2))
         b = t(np.ones((1, 1, 1, 2)))
-        y = linear(x, w, b)
+        y = conv2d(x, w, b)
+        assert y.shape == (1, 1, 1, 2)
         np.testing.assert_array_equal(y.data.reshape(-1), [4.0, 7.0])
 
     def test_row_vector_convention(self):
@@ -113,21 +115,14 @@ class TestLinear:
         x = t(np.array([1.0, 0.0]).reshape(1, 1, 1, 2))
         w = t(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         b = t(np.zeros((1, 1, 1, 2)))
-        np.testing.assert_array_equal(linear(x, w, b).data.reshape(-1), [1.0, 2.0])
-
-    def test_spatial_input_rejected(self):
-        x = t(np.zeros((1, 2, 2, 4)))
-        w = t(np.zeros((1, 1, 4, 2)))
-        b = t(np.zeros((1, 1, 1, 2)))
-        with pytest.raises(ShapeError):
-            linear(x, w, b)
+        np.testing.assert_array_equal(conv2d(x, w, b).data.reshape(-1), [1.0, 2.0])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         x = t(rng.normal(size=(3, 1, 1, 5)), requires_grad=True)
         w = t(rng.normal(size=(1, 1, 5, 4)), requires_grad=True)
         b = t(rng.normal(size=(1, 1, 1, 4)), requires_grad=True)
-        err = grad_check(lambda *ts: reduce_sum(linear(x, w, b)), [x, w, b])
+        err = grad_check(lambda *ts: reduce_sum(conv2d(x, w, b)), [x, w, b])
         assert err <= 1e-3
 
 
@@ -212,34 +207,31 @@ class TestSpatialMoments:
 
 
 class TestAdaptivePool:
-    def test_avg_identity_when_sizes_match(self):
-        rng = np.random.default_rng(16)
-        vals = rng.normal(size=(1, 3, 3, 2)).astype(np.float32)
-        y = adaptive_pool("avg", Tensor(vals), (3, 3))
-        np.testing.assert_array_equal(y.data, vals)
+    """Global pooling: adaptive pooling to a (1, 1) grid."""
 
     def test_avg_global(self):
         x = t(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1))
-        assert adaptive_pool("avg", x, (1, 1)).item() == 2.5
+        assert global_pool("avg", x).item() == 2.5
 
     def test_max_global(self):
         x = t(np.array([1.0, 7.0, 3.0, 4.0]).reshape(1, 2, 2, 1))
-        assert adaptive_pool("max", x, (1, 1)).item() == 7.0
+        assert global_pool("max", x).item() == 7.0
 
-    def test_uneven_partition_covers_input(self):
-        # 5 rows into 2 regions: [0, 3) and [2, 5) per the floor/ceil rule.
-        x = t(np.arange(5.0).reshape(1, 5, 1, 1))
-        y = adaptive_pool("avg", x, (2, 1))
-        np.testing.assert_allclose(y.data.reshape(-1), [1.0, 3.0])
+    def test_per_sample_and_channel(self):
+        x = t(np.arange(24.0).reshape(2, 3, 2, 2))
+        np.testing.assert_array_equal(global_pool("avg", x).data.reshape(2, 2), [[5.0, 6.0], [17.0, 18.0]])
+        np.testing.assert_array_equal(global_pool("max", x).data.reshape(2, 2), [[10.0, 11.0], [22.0, 23.0]])
 
-    def test_output_larger_than_input_rejected(self):
+    def test_empty_extent_and_unknown_kind_rejected(self):
         with pytest.raises(ShapeError):
-            adaptive_pool("avg", t(np.zeros((1, 2, 2, 1))), (3, 3))
+            global_pool("avg", t(np.zeros((1, 0, 2, 1))))
+        with pytest.raises(ValueError, match="pooling kind"):
+            global_pool("min", t(np.zeros((1, 2, 2, 1))))
 
     def test_max_gradient_goes_to_first_maximum(self):
         x = t(np.array([2.0, 2.0, 1.0, 0.0]).reshape(1, 2, 2, 1), requires_grad=True)
         with Tape() as tape:
-            y = adaptive_pool("max", x, (1, 1))
+            y = global_pool("max", x)
             tape.backward(y)
         np.testing.assert_array_equal(x.grad.reshape(-1), [1.0, 0.0, 0.0, 0.0])
 
@@ -250,7 +242,7 @@ class TestAdaptivePool:
         vals = rng.permutation(50)[:32].astype(np.float64).reshape(2, 4, 2, 2)
         x = Tensor(vals)
         x.requires_grad = True
-        err = grad_check(lambda *ts: reduce_sum(adaptive_pool(kind, x, (2, 2))), [x])
+        err = grad_check(lambda *ts: reduce_sum(global_pool(kind, x)), [x])
         assert err <= 1e-3
 
 
@@ -403,6 +395,6 @@ class TestTapeSemantics:
         def once():
             y = conv2d(Tensor(vals), Tensor(w), Tensor(b), stride=2)
             y = activation("gelu", y)
-            return adaptive_pool("avg", y, (1, 1)).data.tobytes()
+            return global_pool("avg", y).data.tobytes()
 
         assert once() == once()
