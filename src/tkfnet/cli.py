@@ -6,9 +6,10 @@ Every run that owns an output directory writes a manifest there; runs
 without one echo the manifest to stdout as '# ' comment lines.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error, 4 shape or class mismatch, 5 non-finite training result (a
-diverged run writes no weights). All failures print a single
-"ERR:<CATEGORY>: reason" line to stderr.
+3 I/O error, 4 shape or class mismatch, 5 non-finite values (a diverged
+run writes no weights; eval and infer refuse weights with a non-finite
+value). All failures print a single "ERR:<CATEGORY>: reason" line to
+stderr.
 """
 
 import argparse
@@ -420,6 +421,12 @@ def _adopt_run_settings(cfg, explicit, manifest):
 
 def _load_model(weights_path, cfg):
     arrays = read_weights(weights_path)
+    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    if bad:
+        raise _numeric_error(
+            f"weights file {weights_path} has non-finite values in {len(bad)} of "
+            f"{len(arrays)} records, first {bad[0]}"
+        )
     detected_model, classes = _weights_geometry(arrays)
     model_name = cfg.model or detected_model
     _check_class_count(cfg, classes, f"the weights file {weights_path}")

@@ -15,12 +15,19 @@ tape visits operations in exact reverse execution order and accumulates into
 ``.grad`` buffers, so a tensor consumed twice receives the sum of both
 contributions.
 
-A recorded op keeps its input and output tensors. Beyond those it keeps
-only small values, such as per-channel means, softmax probabilities or
-max-pool indices, and the local derivative of sigmoid and gelu. Backward
-rebuilds what a copy or a comparison gives back: a convolution's im2col
-matrix, relu's mask and the centered values of ``spatial_moments``. The
-rebuilt values carry the forward pass's own bits, so gradients do not change.
+A recorded op keeps its input and output tensors until backward has run it.
+Beyond those it keeps only small values, such as per-channel means, softmax
+probabilities or max-pool indices, and the local derivative of sigmoid and
+gelu. Backward rebuilds what a copy or a comparison gives back: a
+convolution's im2col matrix, relu's mask and the centered values of
+``spatial_moments``. The rebuilt values carry the forward pass's own bits, so
+gradients do not change.
+
+A tape replays once. Right after a node has run, or has been skipped because
+none of its outputs received a gradient, backward drops the node's closure,
+its outputs and their gradients, so activations and intermediate gradients
+are freed as the walk goes. Afterwards only leaves, the tensors that no
+recorded op produced (inputs and parameters), hold a ``.grad``.
 """
 
 import math
@@ -109,19 +116,30 @@ class _TapeNode:
         self.outs = outs
         self.run = run
 
+    def release(self):
+        # A method, so that no loop variable outlives the call and keeps the
+        # last output alive while earlier nodes run.
+        for out in self.outs:
+            out.grad = None
+        self.outs = ()
+        self.run = None
+
 
 class Tape:
     """Execution-ordered record of differentiable operations.
 
-    ``backward`` replays the record in exact reverse execution order. A tape
-    is single-threaded; independent tapes on different threads do not
-    interact.
+    ``backward`` replays the record once, in exact reverse execution order,
+    and releases each node as soon as it has run: its closure, its outputs
+    and their gradients. ``nodes`` keeps each node's ``op`` name, so the
+    record of which ops ran outlives the replay. A tape is single-threaded;
+    independent tapes on different threads do not interact.
     """
 
     _local = threading.local()
 
     def __init__(self):
         self.nodes = []
+        self.replayed = False
 
     def __enter__(self):
         self._stack().append(self)
@@ -145,13 +163,23 @@ class Tape:
         return stack[-1] if stack else None
 
     def backward(self, loss):
-        """Seed d(loss)/d(loss) = 1 and accumulate gradients for every input."""
+        """Seed d(loss)/d(loss) = 1 and accumulate gradients into the leaves.
+
+        Every recorded output, the loss included, ends with ``grad`` None.
+        """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self.replayed:
+            raise RuntimeError(
+                "tape already replayed: its first backward released the recorded "
+                "values and gradients; record a new tape"
+            )
+        self.replayed = True
         loss.grad = np.ones(loss.shape, dtype=loss.data.dtype)
         for node in reversed(self.nodes):
             if any(out.grad is not None for out in node.outs):
                 node.run()
+            node.release()
 
 
 def _record(op, outs, run):

@@ -401,6 +401,29 @@ class TestLoadPath:
         assert err.startswith("ERR:SHAPE:")
         assert reason in err
 
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda arrays: [a.fill(np.nan) for a in arrays.values()],
+             "non-finite values in 36 of 36 records, first backbone.stem.weight"),
+            (lambda arrays: arrays["dcif.head.bias"].put(1, np.inf),
+             "non-finite values in 1 of 36 records, first dcif.head.bias"),
+        ],
+        ids=["all_nan", "one_inf"],
+    )
+    def test_non_finite_weights_are_numeric_error(self, trained, synth_tree, tmp_path, capsys, command, edit, reason):
+        weights = doctored_weights(trained, tmp_path, edit)
+        if command == "infer":
+            argv = ["infer", str(weights), str(synth_tree / "grating_0" / "00000.ppm")]
+        else:
+            argv = ["eval", str(weights), "--data", "synth:3x4x16"]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERR:NUMERIC:") and captured.err.count("\n") == 1
+        assert reason in captured.err
+
     def test_infer_output_does_not_depend_on_seed(self, trained, synth_tree, tmp_path, capsys):
         image = synth_tree / "grating_2" / "00001.ppm"
         outputs = []

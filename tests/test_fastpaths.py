@@ -3,9 +3,10 @@
 The references below are the straightforward forms: im2col through a
 sliding-window view with a col2im scatter of the full column gradient, a
 bilinear resize that gathers all four corners at the output size, a fully
-connected layer as its own matrix product, and pooling over a one-region grid
-with a scatter-add of the max gradient. The fast paths must reproduce their
-float bits exactly, not just within a tolerance.
+connected layer as its own matrix product, pooling over a one-region grid
+with a scatter-add of the max gradient, and a tape walk that releases
+nothing. The fast paths must reproduce their float bits exactly, not just
+within a tolerance.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from tkfnet.tensor import (
     global_pool,
     hadamard,
     reduce_sum,
+    softmax_cross_entropy,
     spatial_moments,
 )
 
@@ -342,3 +344,28 @@ def test_model_forward_same_with_and_without_tape():
         taped_logits, taped_gate = model.forward_with_attention(x)
     assert_same_bits(logits.data, taped_logits.data)
     assert_same_bits(gate.data, taped_gate.data)
+
+
+def reference_backward(tape, loss):
+    """The tape walk that releases nothing: every closure and every output
+    gradient stays alive until the tape itself is dropped."""
+    loss.grad = np.ones(loss.shape, dtype=loss.data.dtype)
+    for node in reversed(tape.nodes):
+        if any(out.grad is not None for out in node.outs):
+            node.run()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_releasing_backward_matches_reference_walk_bits(dtype):
+    x = np.random.default_rng(8).uniform(-1, 1, size=(3, 32, 32, 3)).astype(dtype)
+    grads = []
+    for walk in (Tape.backward, reference_backward):
+        model = TKFNet(model_config("small", 7), seed=6, dtype=dtype)
+        with Tape() as tape:
+            loss = softmax_cross_entropy(model(Tensor(x)), np.array([0, 3, 6]))
+        walk(tape, loss)
+        grads.append({p.name: p.grad for p in model.parameters()})
+    released, reference = grads
+    assert list(released) == list(reference)
+    for name, g in reference.items():
+        assert_same_bits(released[name], g, f"{name} gradient")

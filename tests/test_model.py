@@ -1,10 +1,13 @@
 """Full-network assembly: presets, shape flow and the attention surface."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from tkfnet.model import ModelConfig, TKFNet, model_config
-from tkfnet.tensor import ShapeError, Tape, Tensor
+from tkfnet.tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 from tkfnet.train import compute_loss
 
 
@@ -79,6 +82,56 @@ def test_every_parameter_receives_gradient():
     for p in model.parameters():
         assert p.grad is not None, p.name
         assert np.all(np.isfinite(p.grad)), p.name
+
+
+def recorded_small_step():
+    """A small-model loss at 16 px recorded on a tape, and weak references to
+    the data of every recorded output except the loss, one list per node."""
+    model = TKFNet(model_config("small", 3), seed=2)
+    x = Tensor(np.random.default_rng(3).uniform(size=(2, 16, 16, 3)).astype(np.float32))
+    with Tape() as tape:
+        loss = softmax_cross_entropy(model(x), np.array([0, 2]))
+    refs = [[weakref.ref(out.data) for out in node.outs if out is not loss] for node in tape.nodes]
+    return model, tape, loss, refs
+
+
+def alive(refs):
+    return sum(ref() is not None for node_refs in refs for ref in node_refs)
+
+
+@pytest.fixture
+def refcount_only():
+    # With the cycle collector off, only reference counting frees arrays, so
+    # an output kept alive through a reference cycle shows up as alive.
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def test_backward_releases_every_recorded_output(refcount_only):
+    model, tape, loss, refs = recorded_small_step()
+    assert alive(refs) == 40
+    tape.backward(loss)
+    assert alive(refs) == 0
+    assert loss.grad is None
+    for p in model.parameters():
+        assert p.grad is not None, p.name
+    assert all(node.op for node in tape.nodes)
+
+
+def test_backward_releases_each_node_before_the_earlier_ones_run(refcount_only):
+    _, tape, loss, refs = recorded_small_step()
+    first = tape.nodes[0]
+    run_first = first.run
+    seen = []
+
+    def run():
+        seen.append(alive(refs[1:]))
+        run_first()
+
+    first.run = run
+    tape.backward(loss)
+    assert seen == [0]
 
 
 def test_float64_construction():

@@ -378,6 +378,29 @@ class TestTapeSemantics:
             with pytest.raises(ShapeError):
                 tape.backward(y)
 
+    def test_replayed_tape_refuses_a_second_backward(self):
+        x = t(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
+        with Tape() as tape:
+            y = reduce_sum(add(x, x))
+        tape.backward(y)
+        with pytest.raises(RuntimeError, match="tape already replayed"):
+            tape.backward(y)
+        assert x.grad.item() == 2.0
+
+    def test_backward_keeps_leaf_gradients_only(self):
+        # The sigmoid feeds nothing the loss depends on, so backward skips
+        # its node; a skipped node is released all the same.
+        x = t(np.full((1, 1, 1, 2), 3.0), requires_grad=True)
+        with Tape() as tape:
+            h = activation("relu", x)
+            activation("sigmoid", h)
+            y = reduce_sum(h)
+            tape.backward(y)
+        np.testing.assert_array_equal(x.grad.reshape(-1), [1.0, 1.0])
+        assert h.grad is None and y.grad is None
+        assert [node.op for node in tape.nodes] == ["activation[relu]", "activation[sigmoid]", "reduce_sum"]
+        assert all(node.run is None and node.outs == () for node in tape.nodes)
+
     def test_no_recording_outside_tape(self):
         x = t(np.ones((1, 1, 1, 1)), requires_grad=True)
         tape = Tape()
