@@ -26,8 +26,8 @@ class Conv:
         self.weight = Parameter(f"{name}.weight", weight)
         self.bias = Parameter(f"{name}.bias", np.zeros((1, 1, 1, cout), dtype=dtype))
 
-    def __call__(self, x, stride=1, padding="same"):
-        return conv2d(x, self.weight, self.bias, stride=stride, padding=padding)
+    def __call__(self, x, stride=1):
+        return conv2d(x, self.weight, self.bias, stride=stride)
 
     def parameters(self):
         return [self.weight, self.bias]

@@ -14,7 +14,6 @@ from .tensor import ShapeError
 class ModelConfig:
     backbone: BackboneConfig
     classes: int = 7
-    reduction: int = 4
 
     @staticmethod
     def small(classes=7):
@@ -63,7 +62,7 @@ class TKFNet:
         self.backbone = Backbone(config.backbone, rng, dtype)
         width = self.backbone.out_channels
         self.tafe = TAFE(width, rng, dtype)
-        self.dcif = DCIF(2 * width, config.classes, rng, reduction=config.reduction, dtype=dtype)
+        self.dcif = DCIF(2 * width, config.classes, rng, dtype=dtype)
         if state is not None:
             self.load_state(state)
 

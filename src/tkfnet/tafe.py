@@ -20,7 +20,6 @@ from .tensor import (
     add,
     concat_channels,
     hadamard,
-    scale,
     spatial_moments,
 )
 
@@ -60,7 +59,7 @@ class TAFE:
     def descriptor(self, branch_out):
         """Fused per-channel statistics: alpha * mean + beta * variance."""
         mean, var = spatial_moments(branch_out)
-        fused = add(scale(mean, self.alpha), scale(var, self.beta))
+        fused = add(hadamard(mean, self.alpha), hadamard(var, self.beta))
         return TextureDescriptor(mean, var, fused)
 
     def __call__(self, features):

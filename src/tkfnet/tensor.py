@@ -2,13 +2,15 @@
 
 Every value handled by the network is a dense (batch, height, width, channel)
 array: feature maps directly, convolution kernels as (kh, kw, cin, cout),
-per-channel vectors as (n, 1, 1, c) and scalars as (1, 1, 1, 1). A fully
-connected layer is a 1x1 kernel applied to a (n, 1, 1, cin) vector, and
-pooling is global, from (n, h, w, c) to (n, 1, 1, c). Storage defaults to
-float32 and may be float64 for verification work; reductions always
-accumulate in float64. The purely spatial reductions (moments, average
-pooling) sum their operands in sorted order, so spatially permuting an input
-reproduces the reduced values bit for bit.
+per-channel vectors as (n, 1, 1, c) and scalars as (1, 1, 1, 1). Scalars and
+vectors multiply a map through ``hadamard``, which broadcasts them. A fully
+connected layer is a 1x1 kernel applied to a (n, 1, 1, cin) vector,
+convolutions pad "same", and pooling is global, from (n, h, w, c) to
+(n, 1, 1, c). Storage defaults to float32 and may be float64 for
+verification work; reductions always accumulate in float64. The purely
+spatial reductions (moments, average pooling) sum their operands in sorted
+order, so spatially permuting an input reproduces the reduced values bit for
+bit.
 
 Differentiable calls record onto the innermost active ``Tape``. Replaying a
 tape visits operations in exact reverse execution order and accumulates into
@@ -85,9 +87,6 @@ class Tensor:
         if self.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -224,24 +223,12 @@ def _sorted_sum(values, axis):
     return np.sort(values, axis=axis).sum(axis=axis)
 
 
-def _conv_geometry(h, w, kh, kw, stride, padding):
-    if padding == "same":
-        oh = -(-h // stride)
-        ow = -(-w // stride)
-        pad_h = max((oh - 1) * stride + kh - h, 0)
-        pad_w = max((ow - 1) * stride + kw - w, 0)
-        pads = (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
-    elif padding == "valid":
-        if h < kh or w < kw:
-            raise ShapeError(
-                f"valid convolution needs input at least {kh}x{kw}, got {h}x{w}"
-            )
-        oh = (h - kh) // stride + 1
-        ow = (w - kw) // stride + 1
-        pads = (0, 0, 0, 0)
-    else:
-        raise ValueError(f"unknown padding mode {padding!r}; expected 'same' or 'valid'")
-    return oh, ow, pads
+def _conv_geometry(h, w, kh, kw, stride):
+    oh = -(-h // stride)
+    ow = -(-w // stride)
+    pad_h = max((oh - 1) * stride + kh - h, 0)
+    pad_w = max((ow - 1) * stride + kw - w, 0)
+    return oh, ow, (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
 
 
 def _im2col(data, kh, kw, stride, pads, oh, ow):
@@ -267,15 +254,15 @@ def _im2col(data, kh, kw, stride, pads, oh, ow):
     return patches.reshape(n * oh * ow, kh * kw * cin)
 
 
-def conv2d(x, weight, bias, stride=1, padding="same"):
-    """2-D convolution over (n, h, w, c) with kernel (kh, kw, cin, cout).
+def conv2d(x, weight, bias, stride=1):
+    """2-D convolution over (n, h, w, c) with kernel (kh, kw, cin, cout),
+    zero-padded "same": the output is (n, ceil(h/stride), ceil(w/stride), cout).
 
     Args:
         x: input tensor (n, h, w, cin).
         weight: kernel tensor (kh, kw, cin, cout).
         bias: per-output-channel bias (1, 1, 1, cout).
         stride: positive step applied to both spatial axes.
-        padding: 'same' (zero-padded, output ceil(h/stride)) or 'valid'.
     """
     n, h, w, cin = x.shape
     kh, kw, wcin, cout = weight.shape
@@ -288,7 +275,7 @@ def conv2d(x, weight, bias, stride=1, padding="same"):
         raise ShapeError(f"conv2d bias must be (1, 1, 1, {cout}), got {bias.shape}")
     if not isinstance(stride, int) or stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride!r}")
-    oh, ow, pads = _conv_geometry(h, w, kh, kw, stride, padding)
+    oh, ow, pads = _conv_geometry(h, w, kh, kw, stride)
     wmat = weight.data.reshape(kh * kw * cin, cout)
     cols = _im2col(x.data, kh, kw, stride, pads, oh, ow)
     y = (cols @ wmat).reshape(n, oh, ow, cout) + bias.data.reshape(cout)
@@ -443,18 +430,15 @@ def global_pool(kind, x):
 
 
 def hadamard(x, y):
-    """Elementwise product of (n, h, w, c) with either the same shape or a
-    per-channel vector (n, 1, 1, c) broadcast across the spatial extent."""
-    n, h, w, c = x.shape
-    if y.shape == x.shape:
-        vector = False
-    elif y.shape == (n, 1, 1, c):
-        vector = True
-    else:
+    """Elementwise product of x with a y whose every axis has x's size or 1,
+    such as a per-channel vector (n, 1, 1, c) or a scalar (1, 1, 1, 1),
+    broadcast as in NumPy; y's gradient sums over its size-1 axes in float64."""
+    if any(sy not in (sx, 1) for sx, sy in zip(x.shape, y.shape)):
         raise ShapeError(
-            f"hadamard operands {x.shape} and {y.shape} match neither elementwise "
-            f"nor as a channel-vector broadcast"
+            f"hadamard operands {x.shape} and {y.shape} do not broadcast: every "
+            f"axis of the second must match the first or be 1"
         )
+    axes = tuple(a for a, sy in enumerate(y.shape) if sy == 1)
     out = Tensor(x.data * y.data, requires_grad=x.requires_grad or y.requires_grad)
 
     def run():
@@ -462,29 +446,9 @@ def hadamard(x, y):
         if x.requires_grad:
             _accum(x, g * y.data)
         if y.requires_grad:
-            if vector:
-                _accum(y, (g.astype(np.float64) * x.data).sum(axis=(1, 2), keepdims=True))
-            else:
-                _accum(y, g * x.data)
+            _accum(y, (g.astype(np.float64) * x.data).sum(axis=axes, keepdims=True))
 
     _record("hadamard", (out,), run)
-    return out
-
-
-def scale(x, s):
-    """Multiply a tensor by a learnable (1, 1, 1, 1) scalar."""
-    if s.shape != (1, 1, 1, 1):
-        raise ShapeError(f"scale factor must be (1, 1, 1, 1), got {s.shape}")
-    out = Tensor(x.data * s.data, requires_grad=x.requires_grad or s.requires_grad)
-
-    def run():
-        g = out.grad
-        if x.requires_grad:
-            _accum(x, g * s.data)
-        if s.requires_grad:
-            _accum(s, (g.astype(np.float64) * x.data).sum().reshape(1, 1, 1, 1))
-
-    _record("scale", (out,), run)
     return out
 
 

@@ -8,6 +8,11 @@ import numpy as np
 from .data import preprocess
 from .tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 
+# Samples per evaluation forward, so evaluation needs no more memory than a
+# batch-8 training step. A row's logits have the same bits in any batch of 8
+# or more; in a smaller one, such as a trailing batch, they may not.
+EVAL_BATCH = 8
+
 
 def compute_loss(logits, labels):
     """Mean softmax cross-entropy; see ``tensor.softmax_cross_entropy``."""
@@ -157,16 +162,16 @@ def predictions(logits):
     return np.argmax(logits.data.reshape(n, -1), axis=1)
 
 
-def evaluate(model, dataset, *, input_size=None, normalize=True, batch_size=64):
-    """Forward the dataset without recording and tally a confusion matrix."""
+def evaluate(model, dataset, *, input_size=None, normalize=True):
+    """Forward the dataset untaped, EVAL_BATCH at a time; tally a confusion matrix."""
     n = len(dataset.samples)
     if n == 0:
         raise ValueError("cannot evaluate an empty dataset")
     q = len(dataset.class_names)
     confusion = np.zeros((q, q), dtype=np.int64)
     dtype = model.parameters()[0].dtype if hasattr(model, "parameters") else np.float32
-    for start in range(0, n, batch_size):
-        batch = dataset.samples[start : start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        batch = dataset.samples[start : start + EVAL_BATCH]
         x, y = _batch_arrays(batch, input_size, normalize, dtype)
         logits = model(x)
         if logits.shape[3] != q:

@@ -22,7 +22,7 @@ from tkfnet.tensor import (
     Tensor,
     add,
     global_pool,
-    scale,
+    hadamard,
     scalar_tensor,
     softmax_cross_entropy,
     spatial_moments,
@@ -70,8 +70,8 @@ def test_criterion_3_hand_example_fidelity():
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1))
     mean, var = spatial_moments(x)
     fused = add(
-        scale(mean, scalar_tensor(2.0, np.float64)),
-        scale(var, scalar_tensor(4.0, np.float64)),
+        hadamard(mean, scalar_tensor(2.0, np.float64)),
+        hadamard(var, scalar_tensor(4.0, np.float64)),
     )
     ok = (
         abs(mean.item() - 2.5) <= 1e-6

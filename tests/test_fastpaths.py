@@ -4,9 +4,10 @@ The references below are the straightforward forms: im2col through a
 sliding-window view with a col2im scatter of the full column gradient, a
 bilinear resize that gathers all four corners at the output size, a fully
 connected layer as its own matrix product, pooling over a one-region grid
-with a scatter-add of the max gradient, and a tape walk that releases
-nothing. The fast paths must reproduce their float bits exactly, not just
-within a tolerance.
+with a scatter-add of the max gradient, a product by a scalar and a product
+that takes either a same-shape operand or a channel vector, and a tape walk
+that releases nothing. The fast and merged paths must reproduce their float
+bits exactly, not just within a tolerance.
 """
 
 import numpy as np
@@ -42,10 +43,10 @@ def assert_same_bits(a, b, what="values"):
     assert np.array_equal(bits(a), bits(b)), f"{what} differ in their bits"
 
 
-def reference_conv2d(x, weight, bias, stride=1, padding="same"):
+def reference_conv2d(x, weight, bias, stride=1):
     n, h, w, cin = x.shape
     kh, kw, _, cout = weight.shape
-    oh, ow, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
+    oh, ow, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride)
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]
@@ -130,53 +131,87 @@ def reference_pool(kind, x):
     return out
 
 
-def conv_output_and_grads(conv, x, w, b, upstream, stride, padding):
+def reference_scale(x, s):
+    """Product with a (1, 1, 1, 1) scalar, whose gradient is a flat sum."""
+    out = Tensor(x.data * s.data, requires_grad=x.requires_grad or s.requires_grad)
+
+    def run():
+        g = out.grad
+        if x.requires_grad:
+            _accum(x, g * s.data)
+        if s.requires_grad:
+            _accum(s, (g.astype(np.float64) * x.data).sum().reshape(1, 1, 1, 1))
+
+    _record("scale", (out,), run)
+    return out
+
+
+def reference_hadamard(x, y):
+    """Product with a same-shape operand or a (n, 1, 1, c) channel vector."""
+    vector = y.shape != x.shape
+    out = Tensor(x.data * y.data, requires_grad=x.requires_grad or y.requires_grad)
+
+    def run():
+        g = out.grad
+        if x.requires_grad:
+            _accum(x, g * y.data)
+        if y.requires_grad:
+            if vector:
+                _accum(y, (g.astype(np.float64) * x.data).sum(axis=(1, 2), keepdims=True))
+            else:
+                _accum(y, g * x.data)
+
+    _record("hadamard", (out,), run)
+    return out
+
+
+def conv_output_and_grads(conv, x, w, b, upstream, stride):
     """Forward output plus the x, weight and bias gradients for a fixed
     upstream gradient, through a fresh copy of every input."""
     x, w, b = (Tensor(t.copy(), requires_grad=True) for t in (x, w, b))
     with Tape() as tape:
-        out = conv(x, w, b, stride=stride, padding=padding)
+        out = conv(x, w, b, stride=stride)
         tape.backward(reduce_sum(hadamard(out, Tensor(upstream))))
     return out.data, x.grad, w.grad, b.grad
 
 
-# (batch, height, width, cin, cout, kernel, stride, padding)
+# (batch, height, width, cin, cout, kernel, stride); every conv pads "same".
 CONV_SHAPES = [
-    (1, 6, 6, 4, 5, 1, 1, "same"),
-    (8, 6, 6, 4, 5, 1, 1, "valid"),
-    (8, 6, 6, 4, 5, 1, 2, "same"),
-    (1, 7, 5, 4, 3, 1, 2, "same"),
-    (1, 7, 5, 3, 4, 3, 1, "same"),
-    (8, 7, 5, 3, 4, 3, 1, "same"),
-    (1, 7, 5, 3, 4, 3, 2, "same"),
-    (8, 8, 8, 3, 6, 3, 2, "same"),
-    (1, 7, 5, 3, 4, 2, 1, "valid"),
-    (8, 6, 6, 2, 3, 2, 2, "valid"),
-    (1, 7, 5, 2, 3, 3, 2, "valid"),
+    (1, 6, 6, 4, 5, 1, 1),
+    (8, 6, 6, 4, 5, 1, 1),
+    (8, 6, 6, 4, 5, 1, 2),
+    (1, 7, 5, 4, 3, 1, 2),
+    (1, 7, 5, 3, 4, 3, 1),
+    (8, 7, 5, 3, 4, 3, 1),
+    (1, 7, 5, 3, 4, 3, 2),
+    (8, 8, 8, 3, 6, 3, 2),
+    (1, 7, 5, 3, 4, 2, 1),
+    (8, 6, 6, 2, 3, 2, 2),
+    (1, 7, 5, 2, 3, 3, 2),
     # Shapes of the base model at a 112 px input: stem, a strided block
     # with its projection, a plain block, and TAFE's 1x1 and 3x3 convs.
-    (1, 112, 112, 3, 32, 3, 2, "same"),
-    (8, 28, 28, 32, 64, 3, 2, "same"),
-    (8, 28, 28, 32, 64, 1, 2, "same"),
-    (8, 14, 14, 64, 64, 3, 1, "same"),
-    (8, 7, 7, 128, 128, 1, 1, "same"),
-    (8, 7, 7, 128, 128, 3, 1, "same"),
-    (1, 1, 1, 256, 128, 1, 1, "same"),
+    (1, 112, 112, 3, 32, 3, 2),
+    (8, 28, 28, 32, 64, 3, 2),
+    (8, 28, 28, 32, 64, 1, 2),
+    (8, 14, 14, 64, 64, 3, 1),
+    (8, 7, 7, 128, 128, 1, 1),
+    (8, 7, 7, 128, 128, 3, 1),
+    (1, 1, 1, 256, 128, 1, 1),
 ]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "n{}_{}x{}_{}to{}_k{}s{}_{}".format(*s))
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "n{}_{}x{}_{}to{}_k{}s{}_same".format(*s))
 def test_conv2d_matches_reference_bits(shape, dtype):
-    n, h, w, cin, cout, k, stride, padding = shape
-    rng = np.random.default_rng(list(shape[:7]))
+    n, h, w, cin, cout, k, stride = shape
+    rng = np.random.default_rng(list(shape))
     x = rng.normal(size=(n, h, w, cin)).astype(dtype)
     weight = rng.normal(size=(k, k, cin, cout)).astype(dtype)
     bias = rng.normal(size=(1, 1, 1, cout)).astype(dtype)
-    oh, ow, _ = _conv_geometry(h, w, k, k, stride, padding)
+    oh, ow, _ = _conv_geometry(h, w, k, k, stride)
     upstream = rng.normal(size=(n, oh, ow, cout)).astype(dtype)
-    fast = conv_output_and_grads(conv2d, x, weight, bias, upstream, stride, padding)
-    ref = conv_output_and_grads(reference_conv2d, x, weight, bias, upstream, stride, padding)
+    fast = conv_output_and_grads(conv2d, x, weight, bias, upstream, stride)
+    ref = conv_output_and_grads(reference_conv2d, x, weight, bias, upstream, stride)
     for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), fast, ref):
         assert_same_bits(a, b, name)
 
@@ -324,16 +359,48 @@ def test_1x1_conv_matches_reference_linear_bits(inputs, n, cin, cout, dtype):
     bias = rng.normal(size=(1, 1, 1, cout)).astype(dtype)
     upstream = make(rng, (n, 1, 1, cout), dtype)
 
-    def linear(x, w, b, stride, padding):
+    def linear(x, w, b, stride):
         return reference_linear(x, w, b)
 
     with np.errstate(invalid="ignore", over="ignore"):
-        fast = conv_output_and_grads(conv2d, x, weight, bias, upstream, 1, "same")
-        ref = conv_output_and_grads(linear, x, weight, bias, upstream, 1, "same")
-        untaped = [op(Tensor(x), Tensor(weight), Tensor(bias), 1, "same").data for op in (conv2d, linear)]
+        fast = conv_output_and_grads(conv2d, x, weight, bias, upstream, 1)
+        ref = conv_output_and_grads(linear, x, weight, bias, upstream, 1)
+        untaped = [op(Tensor(x), Tensor(weight), Tensor(bias), 1).data for op in (conv2d, linear)]
     for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), fast, ref):
         assert_same_bits(a, b, name)
     assert_same_bits(*untaped, "untaped output")
+
+
+# (x shape, y shape, reference) for the broadcasting product.
+HADAMARD_CASES = {
+    "scalar_on_vector": ((8, 1, 1, 64), (1, 1, 1, 1), reference_scale),
+    "scalar_on_map": ((8, 7, 7, 64), (1, 1, 1, 1), reference_scale),
+    "vector_n1": ((1, 7, 7, 64), (1, 1, 1, 64), reference_hadamard),
+    "vector_n8": ((8, 7, 7, 64), (8, 1, 1, 64), reference_hadamard),
+    "same_shape": ((2, 5, 6, 4), (2, 5, 6, 4), reference_hadamard),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(HADAMARD_CASES))
+@pytest.mark.parametrize("inputs", ["normal", "specials"])
+def test_hadamard_matches_reference_product_bits(inputs, case, dtype):
+    x_shape, y_shape, reference = HADAMARD_CASES[case]
+    rng = np.random.default_rng([*x_shape, *y_shape])
+    make = BIT_INPUTS[inputs]
+    xd, yd, upstream = make(rng, x_shape, dtype), make(rng, y_shape, dtype), make(rng, x_shape, dtype)
+    results = []
+    for op in (hadamard, reference):
+        x = Tensor(xd.copy(), requires_grad=True)
+        y = Tensor(yd.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore", over="ignore"):
+            untaped = op(x, y)
+            with Tape() as tape:
+                out = op(x, y)
+                tape.backward(reduce_sum(hadamard(out, Tensor(upstream))))
+        results.append((untaped.data, out.data, x.grad, y.grad))
+    for name, a, b in zip(("untaped output", "taped output", "x grad", "y grad"), *results):
+        assert_same_bits(a, b, name)
 
 
 def test_model_forward_same_with_and_without_tape():

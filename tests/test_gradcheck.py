@@ -98,7 +98,7 @@ class TestOpSweep:
             "global_pool_max",
             "hadamard",
             "hadamard_vector",
-            "scale",
+            "hadamard_scalar",
             "add",
             "concat_channels",
             "reduce_sum",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tkfnet.tafe import TAFE
-from tkfnet.tensor import Tensor, add, scale, scalar_tensor, spatial_moments
+from tkfnet.tensor import Tensor, add, hadamard, scalar_tensor, spatial_moments
 
 
 def make_tafe(channels=4, seed=0):
@@ -16,8 +16,8 @@ def test_descriptor_hand_case():
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1))
     mean, var = spatial_moments(x)
     fused = add(
-        scale(mean, scalar_tensor(2.0, np.float64)),
-        scale(var, scalar_tensor(4.0, np.float64)),
+        hadamard(mean, scalar_tensor(2.0, np.float64)),
+        hadamard(var, scalar_tensor(4.0, np.float64)),
     )
     assert mean.item() == 2.5
     assert var.item() == 1.25
