@@ -14,6 +14,7 @@ stderr.
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -263,13 +264,32 @@ def _manifest_lines(command, cfg, class_names=None, extra=()):
     return lines
 
 
+def _write_file(path, write):
+    """Call ``write`` on a temp file beside ``path``, then move it onto ``path``.
+
+    A run that stops part-way leaves ``path`` as it was, never half written,
+    and removes the temp file unless the process itself is killed.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path, text):
+    _write_file(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
 def _emit_manifest(out_dir, command, cfg, class_names=None, extra=()):
     lines = _manifest_lines(command, cfg, class_names, extra)
     if out_dir is None:
         for line in lines:
             print(f"# {line}")
     else:
-        (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+        _write_text(out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _ensure_out_dir(cfg, required=False):
@@ -352,22 +372,21 @@ def cmd_train(args):
     correct = int(np.trace(metrics.confusion))
     total = int(metrics.confusion.sum())
 
-    (out_dir / "metrics.tsv").write_text(
-        "".join(f"{r.epoch}\t{r.mean_loss:.6f}\t{r.lr:.6f}\n" for r in records)
+    # Each file appears complete or not at all; the manifest comes last.
+    _write_text(
+        out_dir / "metrics.tsv",
+        "".join(f"{r.epoch}\t{r.mean_loss:.6f}\t{r.lr:.6f}\n" for r in records),
     )
-    (out_dir / "timing.log").write_text(
-        "".join(f"{r.epoch}\t{r.seconds:.3f}\n" for r in records)
-    )
-    write_weights(out_dir / "weights.tkfw", model.state_arrays())
-    (out_dir / "final.txt").write_text(
+    _write_text(out_dir / "timing.log", "".join(f"{r.epoch}\t{r.seconds:.3f}\n" for r in records))
+    _write_file(out_dir / "weights.tkfw", lambda tmp: write_weights(tmp, model.state_arrays()))
+    _write_text(
+        out_dir / "final.txt",
         f"accuracy={metrics.accuracy:.6f}\n"
         f"correct={correct}\n"
         f"samples={total}\n"
-        f"eval_split={eval_origin}\n"
+        f"eval_split={eval_origin}\n",
     )
-    (out_dir / "confusion.csv").write_text(
-        _confusion_csv(metrics.confusion, dataset.class_names)
-    )
+    _write_text(out_dir / "confusion.csv", _confusion_csv(metrics.confusion, dataset.class_names))
     _emit_manifest(out_dir, "train", cfg, dataset.class_names)
     print(f"accuracy {metrics.accuracy:.6f} ({correct}/{total} on {eval_origin})")
     return EXIT_OK
@@ -389,11 +408,18 @@ def _weights_geometry(arrays):
 
 
 def _read_manifest(weights_path):
-    """key -> value of the manifest beside a weights file; {} if unreadable."""
+    """key -> value of the manifest beside a weights file.
+
+    {} if there is none or it cannot be opened; a manifest that is not UTF-8
+    is a configuration error.
+    """
+    path = Path(weights_path).parent / "manifest.txt"
     try:
-        text = (Path(weights_path).parent / "manifest.txt").read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError:
         return {}
+    except UnicodeDecodeError as exc:
+        raise _config_error(f"manifest {path} is not UTF-8 (byte {exc.start})") from exc
     manifest = {}
     for line in text.splitlines():
         key, sep, value = line.partition("=")
@@ -457,9 +483,10 @@ def cmd_eval(args):
     csv_text = _confusion_csv(metrics.confusion, dataset.class_names)
 
     if out_dir is not None:
-        (out_dir / "confusion.csv").write_text(csv_text)
-        (out_dir / "final.txt").write_text(
-            f"accuracy={metrics.accuracy:.6f}\ncorrect={correct}\nsamples={total}\n"
+        _write_text(out_dir / "confusion.csv", csv_text)
+        _write_text(
+            out_dir / "final.txt",
+            f"accuracy={metrics.accuracy:.6f}\ncorrect={correct}\nsamples={total}\n",
         )
     _emit_manifest(out_dir, "eval", cfg, dataset.class_names, (("weights", args.weights),))
     print(f"accuracy {metrics.accuracy:.6f} ({correct}/{total})")
@@ -507,7 +534,7 @@ def cmd_infer(args):
         values = gate.data.reshape(-1)
         lines = ["channel,eta"]
         lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(values))
-        (out_dir / "attention.csv").write_text("\n".join(lines) + "\n")
+        _write_text(out_dir / "attention.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -10,7 +10,9 @@ convolutions pad "same", and pooling is global, from (n, h, w, c) to
 verification work; reductions always accumulate in float64. The purely
 spatial reductions (moments, average pooling) sum their operands in sorted
 order, so spatially permuting an input reproduces the reduced values bit for
-bit.
+bit. The module needs numpy alone: the error function behind gelu, ``_erf``,
+ports the Cephes rational approximation that ``scipy.special.erf`` evaluates
+and gives scipy's float32 bits.
 
 Differentiable calls record onto the innermost active ``Tape``. Replaying a
 tape visits operations in exact reverse execution order and accumulates into
@@ -36,12 +38,35 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Coefficients of the Cephes ndtr.c erf and erfc, highest degree first:
+# erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and erfc(x) = exp(-x^2) P(x) / Q(x)
+# for 1 < x < 8. The leading 1.0 of U and Q is the one Cephes' p1evl implies.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+# Elements per pass of _erf: its four float64 scratch rows stay in cache.
+_ERF_BLOCK = 1 << 14
 
 # Fault-injection hook for verification tooling: every gradient written by a
 # backward pass is scaled by this factor. Must stay at 1.0 in normal use; the
@@ -308,6 +333,47 @@ def conv2d(x, weight, bias, stride=1):
     return out
 
 
+def _polevl(x, coefs, out):
+    """Horner's rule for the polynomial ``coefs`` at x, in Cephes' order."""
+    np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x):
+    """The error function of a float32 or float64 array, in x's dtype.
+
+    A port of the Cephes ndtr.c approximation that ``scipy.special.erf``
+    evaluates, with its operations in its order, in float64: x T(x^2) / U(x^2)
+    for |x| <= 1 and sign(x) (1 - exp(-x^2) P(|x|) / Q(|x|)) up to |x| = 6,
+    beyond which the difference rounds to 1. float32 results equal scipy's
+    bit for bit; float64 ones may differ in the last bit, from ``np.exp``.
+    Both branches run on every element, a block at a time, which measured
+    faster than gathering each branch's elements.
+    """
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    scratch = np.empty((4, min(flat.size, _ERF_BLOCK)))
+    for start in range(0, flat.size, _ERF_BLOCK):
+        xb = flat[start : start + _ERF_BLOCK]
+        a, z, y, p = scratch[:, : xb.size]
+        # NaN stays NaN; infinities clip to 6 like every other |x| >= 6.
+        np.minimum(np.abs(xb, out=a), 6.0, out=a)
+        np.multiply(a, a, out=z)
+        _polevl(z, _ERF_T, y)
+        y *= a
+        y /= _polevl(z, _ERF_U, p)
+        erfc = np.exp(np.negative(z, out=z), out=z)
+        erfc *= _polevl(a, _ERFC_P, p)
+        erfc /= _polevl(a, _ERFC_Q, p)
+        np.copyto(y, np.subtract(1.0, erfc, out=erfc), where=a > 1.0)
+        np.copysign(y, xb, out=out[start : start + xb.size])
+    return out.reshape(x.shape)
+
+
 def _sigmoid_values(d):
     y = np.empty_like(d)
     pos = d >= 0
@@ -324,7 +390,10 @@ def _sigmoid_values(d):
 def activation(kind, x):
     """Elementwise nonlinearity: 'relu', 'sigmoid' or 'gelu'.
 
-    The gelu is the exact Gaussian-CDF form x * Phi(x), not a tanh fit.
+    The gelu is the exact Gaussian-CDF form x * Phi(x), not a tanh fit, with
+    Phi(x) = (1 + erf(x / sqrt 2)) / 2 and erf from ``_erf``, a numpy port of
+    the Cephes approximation that scipy uses. It raises no floating-point
+    warning at infinite or huge inputs: gelu(-inf) is -inf * 0, NaN.
     """
     d = x.data
     if kind == "relu":
@@ -332,8 +401,9 @@ def activation(kind, x):
     elif kind == "sigmoid":
         y = _sigmoid_values(d)
     elif kind == "gelu":
-        cdf = 0.5 * (1.0 + erf(d * _INV_SQRT2))
-        y = d * cdf
+        cdf = 0.5 * (1.0 + _erf(d * _INV_SQRT2))
+        with np.errstate(invalid="ignore"):
+            y = d * cdf
     else:
         raise ValueError(f"unknown activation {kind!r}; expected 'relu', 'sigmoid' or 'gelu'")
     out = Tensor(y, requires_grad=x.requires_grad)
@@ -348,7 +418,8 @@ def activation(kind, x):
         if kind == "sigmoid":
             local = y * (1.0 - y)
         else:
-            local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
+            with np.errstate(over="ignore", invalid="ignore"):
+                local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
 
         def run():
             _accum(x, out.grad * local)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import tkfnet.cli
 import tkfnet.tensor
 from tkfnet.cli import main
 from tkfnet.data import load_image_folder
-from tkfnet.weights import read_weights, write_weights
+from tkfnet.weights import read_weights, serialize_weights, write_weights
 
 TRAIN_CONFIG = """\
 # desk-scale training setup
@@ -132,6 +133,19 @@ class TestTrain:
         assert captured.err.startswith("ERR:NUMERIC:") and captured.err.count("\n") == 1
         for name in ("weights.tkfw", "metrics.tsv", "final.txt"):
             assert not (out / name).exists(), name
+
+    def test_failed_weights_write_leaves_no_partial_artifacts(self, tmp_path, monkeypatch, capsys):
+        def write_half_then_fail(path, arrays):
+            data = serialize_weights(arrays)
+            path.write_bytes(data[: len(data) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(tkfnet.cli, "write_weights", write_half_then_fail)
+        code, out = run_train(tmp_path)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("ERR:IO:")
+        # Files written before the weights stay; no weights, manifest or temp file does.
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.tsv", "timing.log"]
 
 
 class TestConfigFile:
@@ -367,6 +381,39 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith("ERR:IO:")
         assert "truncated payload of 't'" in err
+
+
+class TestManifestEncoding:
+    def test_non_utf8_manifest_is_config_error(self, trained, synth_tree, tmp_path, capsys):
+        weights = tmp_path / "weights.tkfw"
+        weights.write_bytes((trained / "weights.tkfw").read_bytes())
+        (tmp_path / "manifest.txt").write_bytes(b"command=train\nclass_0=gr\xffting\n")
+        image = synth_tree / "grating_0" / "00000.ppm"
+        for argv in (["infer", str(weights), str(image)], ["eval", str(weights), "--data", "synth:3x4x16"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"ERR:CONFIG: manifest {tmp_path / 'manifest.txt'} is not UTF-8 (byte 24)\n"
+
+    def test_non_ascii_class_names_round_trip(self, synth_tree, tmp_path, capsys):
+        names = ["freude", "überraschung", "ärger"]
+        tree = tmp_path / "faces"
+        for old, new in zip(["grating_0", "grating_1", "grating_2"], sorted(names)):
+            (tree / new).mkdir(parents=True)
+            for image in (synth_tree / old).iterdir():
+                (tree / new / image.name).write_bytes(image.read_bytes())
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG.replace("synth:3x4x16", str(tree)), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out), "--epochs", "1"]) == 0
+        manifest = (out / "manifest.txt").read_bytes()
+        assert "class_2=überraschung\n".encode("utf-8") in manifest
+        header = (out / "confusion.csv").read_bytes().split(b"\n")[0]
+        assert header == ("class," + ",".join(sorted(names))).encode("utf-8")
+        capsys.readouterr()
+        assert main(["infer", str(out / "weights.tkfw"), str(tree / "ärger" / "00000.ppm")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("# ")]
+        assert lines[0].split(" ", 1)[1] in names
+        assert [line.split()[1] for line in lines[1:]] == sorted(names)
 
 
 def doctored_weights(trained, tmp_path, edit):

@@ -1,5 +1,8 @@
 """Unit tests for the rank-4 tensor core: forward oracles and gradients."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from tkfnet.tensor import (
     scalar_tensor,
     softmax_cross_entropy,
     spatial_moments,
+    _erf,
 )
 from tkfnet.gradcheck import grad_check
 
@@ -135,11 +139,28 @@ class TestActivations:
         )
 
     def test_gelu_matches_gaussian_cdf_form(self):
-        from scipy.special import ndtr
-
         x = np.linspace(-4, 4, 33)
         y = activation("gelu", t(x.reshape(1, 1, 1, -1))).data.reshape(-1)
-        np.testing.assert_allclose(y, x * ndtr(x), rtol=0, atol=1e-14)
+        phi = [0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
+        np.testing.assert_allclose(y, x * phi, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_raises_no_warning_at_extremes(self, dtype, taped):
+        x = t(np.array([np.inf, -np.inf, np.nan, 1e30, -1e30]).reshape(1, 1, 1, 5), taped, dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with Tape() as tape:
+                y = activation("gelu", x)
+                if taped:
+                    tape.backward(reduce_sum(y))
+        out = y.data.reshape(-1)
+        assert out[0] == np.inf and np.isnan(out[1]) and np.isnan(out[2])
+        assert out[3] == dtype(1e30)
+        assert out[4] == 0.0 and np.signbit(out[4])
+        if taped:
+            grad = x.grad.reshape(-1)
+            assert np.isnan(grad[:3]).all() and grad[3] == 1.0 and grad[4] == 0.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -154,6 +175,51 @@ class TestActivations:
         x = t(vals, requires_grad=True)
         err = grad_check(lambda *ts: reduce_sum(activation(kind, x)), [x])
         assert err <= 1e-3
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between same-signed float64 arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestErf:
+    """``_erf`` against scipy's Cephes erf, the function it ports."""
+
+    def test_float32_bits_match_scipy(self):
+        erf = pytest.importorskip("scipy.special").erf
+        # Every 256th bit pattern of each sign up to 6.5, i.e. 0x40d00000.
+        magnitudes = np.arange(0, 0x40D00001, 256, dtype=np.uint32)
+        for sign in (0, 0x80000000):
+            for chunk in np.array_split(magnitudes | np.uint32(sign), 8):
+                x = chunk.view(np.float32)
+                assert np.array_equal(_erf(x).view(np.uint32), erf(x).view(np.uint32))
+
+    def test_float32_special_values_match_scipy_bits(self):
+        erf = pytest.importorskip("scipy.special").erf
+        one, six = np.float32(1.0), np.float32(6.0)
+        x = np.array(
+            [0.0, -0.0, 1.0, -1.0, 6.0, -6.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40,
+             np.nextafter(one, 0), np.nextafter(one, 2), np.nextafter(six, 0), np.nextafter(six, 7),
+             np.finfo(np.float32).smallest_subnormal],
+            dtype=np.float32,
+        )
+        assert np.array_equal(_erf(x).view(np.uint32), erf(x).view(np.uint32))
+
+    def test_float64_within_one_ulp_of_scipy(self):
+        erf = pytest.importorskip("scipy.special").erf
+        rng = np.random.default_rng(2024)
+        x = np.concatenate([rng.uniform(-7.0, 7.0, 200_000), rng.uniform(-1.0, 1.0, 100_000)])
+        got = _erf(x)
+        assert got.dtype == np.float64
+        assert _ulps(got, erf(x)).max() <= 1
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 5), (2, 20_000)])
+    def test_keeps_shape_and_dtype_across_blocks(self, shape):
+        x = np.random.default_rng(5).normal(scale=2.0, size=shape).astype(np.float32)
+        got = _erf(x)
+        assert got.shape == x.shape and got.dtype == np.float32
+        ref = [math.erf(v) for v in x.reshape(-1).astype(np.float64)]
+        np.testing.assert_allclose(got.reshape(-1), np.float32(ref), rtol=0, atol=1e-7)
 
 
 class TestSpatialMoments:
