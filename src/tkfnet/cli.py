@@ -283,13 +283,48 @@ def _write_text(path, text):
     _write_file(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
-def _emit_manifest(out_dir, command, cfg, class_names=None, extra=()):
+def _encodes(text, encoding, errors):
+    try:
+        text.encode(encoding, errors)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_stdout(text, class_names):
+    """Refuse, before any of it is written, a stdout text that the stream's
+    encoding cannot encode, rather than fail part-way through it.
+
+    A stream with no encoding, such as ``io.StringIO``, takes any text.
+    """
+    encoding = getattr(sys.stdout, "encoding", None)
+    if encoding is None:
+        return
+    errors = getattr(sys.stdout, "errors", None) or "strict"
+    if _encodes(text, encoding, errors):
+        return
+    bad = [name for name in class_names if not _encodes(name, encoding, errors)]
+    what = f"class name {ascii(bad[0])}" if bad else "the output text"
+    raise _config_error(
+        f"stdout encoding {encoding} cannot encode {what}; set PYTHONIOENCODING=utf-8"
+    )
+
+
+def _emit_manifest(out_dir, command, cfg, class_names=None, extra=(), report=""):
+    """Write the manifest, then the run's ``report`` to stdout.
+
+    Without an output directory the manifest goes to stdout instead, as '# '
+    comment lines ahead of the report. Stdout gets the whole text in one
+    write, once ``_check_stdout`` has found that the stream can take it.
+    """
     lines = _manifest_lines(command, cfg, class_names, extra)
+    text = report
     if out_dir is None:
-        for line in lines:
-            print(f"# {line}")
-    else:
+        text = "".join(f"# {line}\n" for line in lines) + report
+    _check_stdout(text, class_names or ())
+    if out_dir is not None:
         _write_text(out_dir / "manifest.txt", "\n".join(lines) + "\n")
+    sys.stdout.write(text)
 
 
 def _ensure_out_dir(cfg, required=False):
@@ -488,10 +523,11 @@ def cmd_eval(args):
             out_dir / "final.txt",
             f"accuracy={metrics.accuracy:.6f}\ncorrect={correct}\nsamples={total}\n",
         )
-    _emit_manifest(out_dir, "eval", cfg, dataset.class_names, (("weights", args.weights),))
-    print(f"accuracy {metrics.accuracy:.6f} ({correct}/{total})")
+    report = f"accuracy {metrics.accuracy:.6f} ({correct}/{total})\n"
     if out_dir is None:
-        sys.stdout.write(csv_text)
+        report += csv_text
+    extra = (("weights", args.weights),)
+    _emit_manifest(out_dir, "eval", cfg, dataset.class_names, extra, report)
     return EXIT_OK
 
 
@@ -524,11 +560,10 @@ def cmd_infer(args):
     probs = shifted / shifted.sum()
     class_names = _class_names(manifest, cfg.classes)
 
+    report = f"predicted {class_names[int(np.argmax(probs))]}\n"
+    report += "".join(f"prob {name} {p:.8f}\n" for name, p in zip(class_names, probs))
     extra = (("weights", args.weights), ("image", args.image))
-    _emit_manifest(out_dir, "infer", cfg, class_names, extra)
-    print(f"predicted {class_names[int(np.argmax(probs))]}")
-    for name, p in zip(class_names, probs):
-        print(f"prob {name} {p:.8f}")
+    _emit_manifest(out_dir, "infer", cfg, class_names, extra, report)
 
     if args.dump_attention:
         values = gate.data.reshape(-1)

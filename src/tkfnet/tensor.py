@@ -19,19 +19,29 @@ tape visits operations in exact reverse execution order and accumulates into
 ``.grad`` buffers, so a tensor consumed twice receives the sum of both
 contributions.
 
-A recorded op keeps its input and output tensors until backward has run it.
-Beyond those it keeps only small values, such as per-channel means, softmax
-probabilities or max-pool indices, and the local derivative of sigmoid and
-gelu. Backward rebuilds what a copy or a comparison gives back: a
-convolution's im2col matrix, relu's mask and the centered values of
-``spatial_moments``. The rebuilt values carry the forward pass's own bits, so
-gradients do not change.
+A tensor's gradient lives apart from its value, in a small ``_GradSlot``
+that holds the shape, dtype, ``requires_grad`` flag and ``grad`` buffer; the
+tensor's ``grad`` and ``requires_grad`` read and write its slot. A recorded op
+keeps its tensors' slots and, of their values, only the arrays its derivative
+formula reads: a convolution its input, when the kernel needs a gradient, and
+its kernel; relu its output; ``spatial_moments`` its input; ``hadamard`` each
+operand when the other needs a gradient. ``add``, ``concat_channels``,
+``global_pool``, ``reduce_sum`` and ``softmax_cross_entropy`` keep no tensor
+data. So once the caller drops an intermediate tensor, a value that no
+backward reads, such as a convolution's or a sum's output, is freed during the
+forward pass. Beyond those arrays an op keeps only small values, such as
+per-channel means, softmax probabilities or max-pool indices, and the local
+derivative of sigmoid and gelu. Backward rebuilds what a copy or a comparison
+gives back: a convolution's im2col matrix, relu's mask and the centered values
+of ``spatial_moments``. The rebuilt values carry the forward pass's own bits,
+so gradients do not change.
 
 A tape replays once. Right after a node has run, or has been skipped because
 none of its outputs received a gradient, backward drops the node's closure,
-its outputs and their gradients, so activations and intermediate gradients
-are freed as the walk goes. Afterwards only leaves, the tensors that no
-recorded op produced (inputs and parameters), hold a ``.grad``.
+its outputs' slots and their gradients, so the arrays the closure kept and
+the intermediate gradients are freed as the walk goes. Afterwards only
+leaves, the tensors that no recorded op produced (inputs and parameters),
+hold a ``.grad``.
 """
 
 import math
@@ -79,11 +89,25 @@ class ShapeError(ValueError):
     """An operand's shape violates the operation's contract."""
 
 
+class _GradSlot:
+    """The gradient side of a tensor, without its value: what a tape node
+    keeps of the tensors it reads and writes."""
+
+    __slots__ = ("shape", "dtype", "requires_grad", "grad")
+
+    def __init__(self, shape, dtype, requires_grad):
+        self.shape = shape
+        self.dtype = dtype
+        self.requires_grad = requires_grad
+        self.grad = None
+
+
 class Tensor:
     """Dense rank-4 value container.
 
     Axis order is (batch, height, width, channel), row-major with the
-    channel axis fastest. ``data`` is always contiguous.
+    channel axis fastest. ``data`` is always contiguous. ``grad`` and
+    ``requires_grad`` live in the tensor's ``_GradSlot``.
     """
 
     def __init__(self, data, requires_grad=False):
@@ -93,8 +117,23 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = np.ascontiguousarray(arr)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self._slot = _GradSlot(self.data.shape, self.data.dtype, bool(requires_grad))
+
+    @property
+    def requires_grad(self):
+        return self._slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        self._slot.requires_grad = bool(value)
+
+    @property
+    def grad(self):
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._slot.grad = value
 
     @property
     def shape(self):
@@ -209,7 +248,7 @@ class Tape:
 def _record(op, outs, run):
     tape = Tape.active()
     if tape is not None and any(out.requires_grad for out in outs):
-        tape.nodes.append(_TapeNode(op, outs, run))
+        tape.nodes.append(_TapeNode(op, tuple(out._slot for out in outs), run))
 
 
 def _taping(requires_grad):
@@ -220,25 +259,18 @@ def _taping(requires_grad):
     return requires_grad and Tape.active() is not None
 
 
-def _accum(tensor, grad):
-    if not tensor.requires_grad:
+def _accum(slot, grad):
+    """Add ``grad`` into the gradient of ``slot``, a ``_GradSlot`` or a tensor."""
+    if not slot.requires_grad:
         return
     if _GRAD_FAULT_SCALE != 1.0:
         grad = grad * _GRAD_FAULT_SCALE
-    if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += np.asarray(grad, dtype=tensor.data.dtype).reshape(tensor.shape)
-
-
-def scalar_tensor(value, dtype=DEFAULT_DTYPE):
-    """Wrap a python number as a (1, 1, 1, 1) tensor."""
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=dtype))
-
-
-def channel_vector(values, dtype=DEFAULT_DTYPE):
-    """Wrap a 1-D sequence as a (1, 1, 1, c) tensor."""
-    arr = np.asarray(values, dtype=dtype).reshape(1, 1, 1, -1)
-    return Tensor(arr)
+    if slot.grad is None:
+        # g + 0 in the slot's dtype, in one pass: the bits of adding g to a
+        # zero-filled buffer, -0 becoming +0 included.
+        slot.grad = np.add(np.reshape(grad, slot.shape), 0, dtype=slot.dtype, order="C")
+    else:
+        slot.grad += np.asarray(grad, dtype=slot.dtype).reshape(slot.shape)
 
 
 def _sorted_sum(values, axis):
@@ -307,27 +339,33 @@ def conv2d(x, weight, bias, stride=1):
 
     grad_needed = x.requires_grad or weight.requires_grad or bias.requires_grad
     out = Tensor(y, requires_grad=grad_needed)
+    x_slot, w_slot, b_slot, out_slot = x._slot, weight._slot, bias._slot, out._slot
+    x_data = x.data if weight.requires_grad else None
+    w_data = weight.data
 
     def run():
-        g2 = out.grad.reshape(n * oh * ow, cout)
-        if weight.requires_grad:
+        g2 = out_slot.grad.reshape(n * oh * ow, cout)
+        if x_data is not None:
             # The same copy of the input as in the forward pass, rebuilt
-            # rather than kept on the tape.
-            cols = _im2col(x.data, kh, kw, stride, pads, oh, ow)
-            _accum(weight, (cols.T @ g2).reshape(kh, kw, cin, cout))
-        if bias.requires_grad:
-            _accum(bias, g2.sum(axis=0, dtype=np.float64).reshape(1, 1, 1, cout))
-        if x.requires_grad:
+            # rather than kept on the tape, and freed before any gradient
+            # buffer is allocated.
+            cols = _im2col(x_data, kh, kw, stride, pads, oh, ow)
+            gw = (cols.T @ g2).reshape(kh, kw, cin, cout)
+            del cols
+            _accum(w_slot, gw)
+        if b_slot.requires_grad:
+            _accum(b_slot, g2.sum(axis=0, dtype=np.float64).reshape(1, 1, 1, cout))
+        if x_slot.requires_grad:
             # One (cin, cout) slice of the kernel per tap: the same products
             # and sums as the full im2col gradient, without its kh*kw-fold
             # copy of the input.
             pt, pb, pl, pr = pads
-            gxp = np.zeros((n, pt + h + pb, pl + w + pr, cin), dtype=x.dtype)
+            gxp = np.zeros((n, pt + h + pb, pl + w + pr, cin), dtype=x_slot.dtype)
             for i in range(kh):
                 for j in range(kw):
                     window = gxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :]
-                    window += (g2 @ weight.data[i, j].T).reshape(n, oh, ow, cin)
-            _accum(x, gxp[:, pt : pt + h, pl : pl + w, :])
+                    window += (g2 @ w_data[i, j].T).reshape(n, oh, ow, cin)
+            _accum(x_slot, gxp[:, pt : pt + h, pl : pl + w, :])
 
     _record("conv2d", (out,), run)
     return out
@@ -409,11 +447,12 @@ def activation(kind, x):
     out = Tensor(y, requires_grad=x.requires_grad)
     if not _taping(out.requires_grad):
         return out
+    x_slot, out_slot = x._slot, out._slot
     if kind == "relu":
         def run():
             # A bool mask multiplies as 1.0 or 0.0, so the products are
             # those of a float mask without keeping one on the tape.
-            _accum(x, out.grad * (out.data > 0))
+            _accum(x_slot, out_slot.grad * (y > 0))
     else:
         if kind == "sigmoid":
             local = y * (1.0 - y)
@@ -422,7 +461,7 @@ def activation(kind, x):
                 local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
 
         def run():
-            _accum(x, out.grad * local)
+            _accum(x_slot, out_slot.grad * local)
 
     _record(f"activation[{kind}]", (out,), run)
     return out
@@ -446,17 +485,18 @@ def spatial_moments(x):
     grad_needed = x.requires_grad
     mean = Tensor(mean64.reshape(n, 1, 1, c).astype(x.dtype), requires_grad=grad_needed)
     var = Tensor(var64.reshape(n, 1, 1, c).astype(x.dtype), requires_grad=grad_needed)
+    x_slot, mean_slot, var_slot, x_data = x._slot, mean._slot, var._slot, x.data
 
     def run():
         gx = np.zeros((n, count, c))
-        if mean.grad is not None:
-            gx += mean.grad.reshape(n, 1, c) / count
-        if var.grad is not None:
+        if mean_slot.grad is not None:
+            gx += mean_slot.grad.reshape(n, 1, c) / count
+        if var_slot.grad is not None:
             # d var / d x_i = 2 (x_i - mean) / count; the mean's own
             # dependence cancels because the centered values sum to zero.
-            centered = x.data.reshape(n, count, c) - mean64[:, None, :]
-            gx += var.grad.reshape(n, 1, c) * 2.0 * centered / count
-        _accum(x, gx.reshape(x.shape))
+            centered = x_data.reshape(n, count, c) - mean64[:, None, :]
+            gx += var_slot.grad.reshape(n, 1, c) * 2.0 * centered / count
+        _accum(x_slot, gx.reshape(n, h, w, c))
 
     _record("spatial_moments", (mean, var), run)
     return mean, var
@@ -486,15 +526,16 @@ def global_pool(kind, x):
     else:
         y = flat.max(axis=1)
     out = Tensor(y.reshape(n, 1, 1, c), requires_grad=x.requires_grad)
+    x_slot, out_slot = x._slot, out._slot
 
     def run():
-        g = out.grad.reshape(n, 1, c)
+        g = out_slot.grad.reshape(n, 1, c)
         if kind == "avg":
-            _accum(x, np.broadcast_to(g / count, (n, count, c)))
+            _accum(x_slot, np.broadcast_to(g / count, (n, count, c)))
         else:
-            gx = np.zeros((n, count, c), dtype=x.dtype)
+            gx = np.zeros((n, count, c), dtype=x_slot.dtype)
             np.put_along_axis(gx, idx, g, axis=1)
-            _accum(x, gx)
+            _accum(x_slot, gx)
 
     _record(f"global_pool[{kind}]", (out,), run)
     return out
@@ -511,13 +552,17 @@ def hadamard(x, y):
         )
     axes = tuple(a for a, sy in enumerate(y.shape) if sy == 1)
     out = Tensor(x.data * y.data, requires_grad=x.requires_grad or y.requires_grad)
+    x_slot, y_slot, out_slot = x._slot, y._slot, out._slot
+    # Each operand's value is read only for the other operand's gradient.
+    x_data = x.data if y.requires_grad else None
+    y_data = y.data if x.requires_grad else None
 
     def run():
-        g = out.grad
-        if x.requires_grad:
-            _accum(x, g * y.data)
-        if y.requires_grad:
-            _accum(y, (g.astype(np.float64) * x.data).sum(axis=axes, keepdims=True))
+        g = out_slot.grad
+        if y_data is not None:
+            _accum(x_slot, g * y_data)
+        if x_data is not None:
+            _accum(y_slot, (g.astype(np.float64) * x_data).sum(axis=axes, keepdims=True))
 
     _record("hadamard", (out,), run)
     return out
@@ -528,11 +573,12 @@ def add(x, y):
     if x.shape != y.shape:
         raise ShapeError(f"add needs matching shapes, got {x.shape} and {y.shape}")
     out = Tensor(x.data + y.data, requires_grad=x.requires_grad or y.requires_grad)
+    x_slot, y_slot, out_slot = x._slot, y._slot, out._slot
 
     def run():
-        g = out.grad
-        _accum(x, g)
-        _accum(y, g)
+        g = out_slot.grad
+        _accum(x_slot, g)
+        _accum(y_slot, g)
 
     _record("add", (out,), run)
     return out
@@ -550,11 +596,12 @@ def concat_channels(a, b):
         np.concatenate([a.data, b.data], axis=3),
         requires_grad=a.requires_grad or b.requires_grad,
     )
+    a_slot, b_slot, out_slot = a._slot, b._slot, out._slot
 
     def run():
-        g = out.grad
-        _accum(a, g[..., :ca])
-        _accum(b, g[..., ca:])
+        g = out_slot.grad
+        _accum(a_slot, g[..., :ca])
+        _accum(b_slot, g[..., ca:])
 
     _record("concat_channels", (out,), run)
     return out
@@ -564,9 +611,10 @@ def reduce_sum(x):
     """Sum every element into a (1, 1, 1, 1) tensor (float64 accumulation)."""
     total = x.data.astype(np.float64).sum()
     out = Tensor(np.full((1, 1, 1, 1), total).astype(x.dtype), requires_grad=x.requires_grad)
+    x_slot, out_slot = x._slot, out._slot
 
     def run():
-        _accum(x, np.broadcast_to(out.grad.reshape(()), x.shape))
+        _accum(x_slot, np.broadcast_to(out_slot.grad.reshape(()), x_slot.shape))
 
     _record("reduce_sum", (out,), run)
     return out
@@ -604,13 +652,14 @@ def softmax_cross_entropy(logits, labels):
     log_true = z[rows, labels] - np.log(denom[:, 0])
     value = -log_true.sum() / n
     out = Tensor(np.full((1, 1, 1, 1), value).astype(logits.dtype), requires_grad=logits.requires_grad)
+    logits_slot, out_slot = logits._slot, out._slot
 
     def run():
-        g = float(out.grad.reshape(()))
+        g = float(out_slot.grad.reshape(()))
         d = probs.copy()
         d[rows, labels] -= 1.0
         d *= g / n
-        _accum(logits, d.reshape(n, 1, 1, q))
+        _accum(logits_slot, d.reshape(n, 1, 1, q))
 
     _record("softmax_cross_entropy", (out,), run)
     return out

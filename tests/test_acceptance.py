@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import scalar_tensor
 from tkfnet.cli import main as cli_main
 from tkfnet.data import synth_dataset
 from tkfnet.gradcheck import check_model, per_op_sweep
@@ -23,7 +24,6 @@ from tkfnet.tensor import (
     add,
     global_pool,
     hadamard,
-    scalar_tensor,
     softmax_cross_entropy,
     spatial_moments,
 )

@@ -1,5 +1,12 @@
 """End-to-end command-line behavior through ``tkfnet.cli.main``."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -414,6 +421,77 @@ class TestManifestEncoding:
         lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("# ")]
         assert lines[0].split(" ", 1)[1] in names
         assert [line.split()[1] for line in lines[1:]] == sorted(names)
+
+
+UMLAUT_NAMES = ["freude", "ärger", "überraschung"]
+
+
+@pytest.fixture(scope="module")
+def umlaut_run(trained, synth_tree, tmp_path_factory):
+    """The trained weights with a manifest naming classes ``UMLAUT_NAMES``,
+    and a folder dataset of the synth images under those class names."""
+    root = tmp_path_factory.mktemp("umlaut")
+    run = root / "run"
+    run.mkdir()
+    (run / "weights.tkfw").write_bytes((trained / "weights.tkfw").read_bytes())
+    lines = [
+        line for line in (trained / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        if not line.startswith("class_")
+    ]
+    lines += [f"class_{i}={name}" for i, name in enumerate(UMLAUT_NAMES)]
+    (run / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tree = root / "faces"
+    for old, new in zip(["grating_0", "grating_1", "grating_2"], UMLAUT_NAMES):
+        (tree / new).mkdir(parents=True)
+        for image in (synth_tree / old).iterdir():
+            (tree / new / image.name).write_bytes(image.read_bytes())
+    return run / "weights.tkfw", tree
+
+
+def run_cli(encoding, *argv):
+    """``tkfnet`` in a fresh interpreter whose stdout encoding is ``encoding``."""
+    src = str(Path(tkfnet.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys; from tkfnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING=encoding),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+
+
+class TestStdoutEncoding:
+    def argvs(self, umlaut_run):
+        weights, tree = umlaut_run
+        return {
+            "infer": ["infer", str(weights), str(tree / "ärger" / "00000.ppm")],
+            "eval": ["eval", str(weights), "--data", str(tree)],
+        }
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_unencodable_class_name_fails_before_any_output(self, umlaut_run, command):
+        result = run_cli("ascii", *self.argvs(umlaut_run)[command])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "ERR:CONFIG: stdout encoding ascii cannot encode class name '\\xe4rger'; "
+            "set PYTHONIOENCODING=utf-8\n"
+        )
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_utf8_stdout_prints_the_class_names(self, umlaut_run, command):
+        result = run_cli("utf-8", *self.argvs(umlaut_run)[command])
+        assert result.returncode == 0, result.stderr
+        assert "# class_1=ärger\n" in result.stdout
+
+    def test_stream_without_encoding_takes_any_text(self, umlaut_run):
+        out = io.StringIO()
+        assert out.encoding is None
+        with contextlib.redirect_stdout(out):
+            assert main(self.argvs(umlaut_run)["infer"]) == 0
+        assert "# class_1=ärger\n" in out.getvalue()
 
 
 def doctored_weights(trained, tmp_path, edit):

@@ -292,19 +292,64 @@ def _conv(k, stride):
 
 
 @pytest.mark.parametrize(
-    "op",
-    [_conv(3, 1), _conv(3, 2), _conv(1, 2), lambda x: activation("relu", x), spatial_moments],
+    "op, reads",
+    [
+        (_conv(3, 1), "input"),
+        (_conv(3, 2), "input"),
+        (_conv(1, 2), "input"),
+        (lambda x: activation("relu", x), "output"),
+        (lambda x: spatial_moments(x)[0], "input"),
+    ],
     ids=["conv3x3_s1", "conv3x3_s2", "conv1x1_s2", "relu", "spatial_moments"],
 )
-def test_tape_keeps_no_input_sized_arrays(op):
+def test_tape_keeps_no_input_sized_arrays(op, reads):
     # Backward rebuilds im2col matrices, relu masks and centered values from
-    # the op's input and output, so the tape keeps nothing that large itself.
+    # the one array its formula reads, the op's own input or output, so the
+    # tape keeps that array and nothing else as large.
     x = Tensor(np.random.default_rng(6).normal(size=(2, 8, 8, 8)).astype(np.float32), requires_grad=True)
     with Tape() as tape:
-        op(x)
+        out = op(x)
     (node,) = tape.nodes
-    held = [a.nbytes for a in closure_arrays(node)]
-    assert all(nbytes < x.data.nbytes for nbytes in held), held
+    large = [a for a in closure_arrays(node) if a.nbytes >= x.data.nbytes]
+    assert [id(a) for a in large] == [id(x.data if reads == "input" else out.data)]
+
+
+def zero_fill_accum(shape, dtype, grads):
+    """The plain accumulation: a zero-filled buffer, then += each gradient."""
+    buf = np.zeros(shape, dtype=dtype)
+    for g in grads:
+        buf += np.asarray(g, dtype=dtype).reshape(shape)
+    return buf
+
+
+def special_grads(dtype, layout):
+    # SPECIALS plus a NaN with a payload, as a contiguous array or as the
+    # cropped interior of a larger one.
+    vals = np.array(SPECIALS + [0.0], dtype=dtype)
+    if dtype == np.float32:
+        vals[-1:].view(np.uint32)[0] = 0x7FC01234
+    else:
+        vals[-1:].view(np.uint64)[0] = 0x7FF8000000001234
+    grid = vals.reshape(1, 3, 3, 1)
+    if layout == "contiguous":
+        return grid, grid[:, ::-1].copy()
+    padded = np.zeros((1, 5, 5, 1), dtype=dtype)
+    padded[:, 1:4, 1:4] = grid
+    return padded[:, 1:4, 1:4], padded[:, 1:4, 3:0:-1]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "cropped"])
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_accum_matches_zero_fill_bits(dtype, grad_dtype, layout):
+    first, second = special_grads(grad_dtype, layout)
+    x = Tensor(np.zeros((1, 3, 3, 1), dtype=dtype), requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        _accum(x, first)
+        assert_same_bits(x.grad, zero_fill_accum(x.shape, dtype, [first]), "first write")
+        assert x.grad.flags.c_contiguous and not np.shares_memory(x.grad, first)
+        _accum(x, second)
+        assert_same_bits(x.grad, zero_fill_accum(x.shape, dtype, [first, second]), "sum")
 
 
 @pytest.mark.parametrize("shape", [(2, 5, 6, 4), (3, 1, 7, 2)])

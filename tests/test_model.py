@@ -2,10 +2,13 @@
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from tkfnet import tensor
+from tkfnet.gradcheck import OP_CASES
 from tkfnet.model import ModelConfig, TKFNet, model_config
 from tkfnet.tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 from tkfnet.train import compute_loss
@@ -84,15 +87,27 @@ def test_every_parameter_receives_gradient():
         assert np.all(np.isfinite(p.grad)), p.name
 
 
+SMALL_INPUT = np.random.default_rng(3).uniform(size=(2, 16, 16, 3)).astype(np.float32)
+
+
 def recorded_small_step():
-    """A small-model loss at 16 px recorded on a tape, and weak references to
-    the data of every recorded output except the loss, one list per node."""
+    """A small-model loss at 16 px recorded on a tape, the op of every node,
+    and weak references to the data of every recorded output except the
+    loss, one list per node."""
     model = TKFNet(model_config("small", 3), seed=2)
-    x = Tensor(np.random.default_rng(3).uniform(size=(2, 16, 16, 3)).astype(np.float32))
-    with Tape() as tape:
-        loss = softmax_cross_entropy(model(x), np.array([0, 2]))
-    refs = [[weakref.ref(out.data) for out in node.outs if out is not loss] for node in tape.nodes]
-    return model, tape, loss, refs
+    ops, refs = [], []
+    record = tensor._record
+
+    def spy(op, outs, run):
+        record(op, outs, run)
+        ops.append(op)
+        refs.append([weakref.ref(out.data) for out in outs])
+
+    with Tape() as tape, mock.patch.object(tensor, "_record", spy):
+        loss = softmax_cross_entropy(model(Tensor(SMALL_INPUT)), np.array([0, 2]))
+    assert len(refs) == len(tape.nodes)
+    refs = [[ref for ref in node_refs if ref() is not loss.data] for node_refs in refs]
+    return model, tape, loss, ops, refs
 
 
 def alive(refs):
@@ -109,8 +124,16 @@ def refcount_only():
 
 
 def test_backward_releases_every_recorded_output(refcount_only):
-    model, tape, loss, refs = recorded_small_step()
-    assert alive(refs) == 40
+    model, tape, loss, _, refs = recorded_small_step()
+    assert sum(len(node_refs) for node_refs in refs) == 40
+    # Before backward only the outputs that some backward reads are alive:
+    # the 6 relu outputs (read by relu itself), the 2 gelu outputs and the
+    # mean and variance (read by the conv or the hadamard they feed), the 5
+    # conv outputs read as a conv, moments or hadamard input, the DCIF gate
+    # and the 2 concatenations (hadamard and conv inputs), and the pooled
+    # features fc1 reads. No add or hadamard output, and none of the 12
+    # other conv outputs, is kept.
+    assert alive(refs) == 19
     tape.backward(loss)
     assert alive(refs) == 0
     assert loss.grad is None
@@ -120,18 +143,52 @@ def test_backward_releases_every_recorded_output(refcount_only):
 
 
 def test_backward_releases_each_node_before_the_earlier_ones_run(refcount_only):
-    _, tape, loss, refs = recorded_small_step()
+    _, tape, loss, _, refs = recorded_small_step()
     first = tape.nodes[0]
     run_first = first.run
     seen = []
 
     def run():
-        seen.append(alive(refs[1:]))
+        seen.append(alive(refs))
         run_first()
 
     first.run = run
     tape.backward(loss)
+    # The first node, the stem conv, reads only the input images and its
+    # kernel, so no recorded output is alive when it runs.
     assert seen == [0]
+
+
+def test_forward_frees_backbone_conv_and_add_outputs(refcount_only):
+    # The recorded tape stays referenced, so whatever is gone here was freed
+    # during the forward pass.
+    model, tape, _, ops, refs = recorded_small_step()
+    with Tape() as backbone_tape:
+        model.backbone(Tensor(SMALL_INPUT))
+    backbone = range(len(backbone_tape.nodes))
+    dead = [i for i in backbone if ops[i] in ("conv2d", "add")]
+    # The stem, two convs per block and a strided shortcut per block; one
+    # add per block.
+    assert len(dead) == 9
+    assert alive([refs[i] for i in dead]) == 0
+
+
+def closure_cells(tape):
+    return [cell.cell_contents for node in tape.nodes for cell in node.run.__closure__ or ()]
+
+
+def test_no_tape_closure_holds_a_tensor():
+    model = TKFNet(model_config("small", 3), seed=2)
+    with Tape() as tape:
+        softmax_cross_entropy(model(Tensor(SMALL_INPUT)), np.array([0, 2]))
+    cells = closure_cells(tape)
+    for i, build in enumerate(OP_CASES.values()):
+        f, inputs = build(np.random.default_rng(i), np.float64)
+        with Tape() as tape:
+            f(*inputs)
+        cells += closure_cells(tape)
+    assert cells
+    assert not [type(c).__name__ for c in cells if isinstance(c, Tensor)]
 
 
 def test_float64_construction():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers import scalar_tensor
 from tkfnet.tafe import TAFE
-from tkfnet.tensor import Tensor, add, hadamard, scalar_tensor, spatial_moments
+from tkfnet.tensor import Tensor, add, hadamard, spatial_moments
 
 
 def make_tafe(channels=4, seed=0):

@@ -12,18 +12,17 @@ from tkfnet.tensor import (
     Tensor,
     activation,
     add,
-    channel_vector,
     concat_channels,
     conv2d,
     global_pool,
     hadamard,
     reduce_sum,
-    scalar_tensor,
     softmax_cross_entropy,
     spatial_moments,
     _erf,
 )
 from tkfnet.gradcheck import grad_check
+from helpers import channel_vector, scalar_tensor
 
 
 def t(data, requires_grad=False, dtype=np.float64):

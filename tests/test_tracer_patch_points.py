@@ -1,16 +1,22 @@
-"""The names that ``bench/spans.py`` patches from outside the package.
+"""The names that ``bench/spans.py`` patches from outside the package, and
+the tape internals that its metrics read.
 
 The benchmark's tracer replaces these names with timing wrappers and does
 not check first that they exist, so deleting or renaming one would break
-``bench/run.py --trace 1`` without failing any other test.
+``bench/run.py --trace 1`` without failing any other test. Its tape metrics
+walk ``Tape.nodes``: each node's closure cells and the gradients of its
+``outs``.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from tkfnet import cli, train
-from tkfnet.tensor import Tape
+from tkfnet.model import TKFNet, model_config
+from tkfnet.tensor import Tape, Tensor, softmax_cross_entropy
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -57,3 +63,25 @@ def test_tracer_patches_every_name_and_restores_the_originals():
     assert before.keys() == after.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed, changed
+
+
+def test_tape_metrics_read_a_slot_based_tape():
+    spans = load_spans()
+    model = TKFNet(model_config("small", 3), seed=2)
+    x = Tensor(np.random.default_rng(3).uniform(size=(2, 16, 16, 3)).astype(np.float32))
+    with Tape() as tape:
+        softmax_cross_entropy(model(x), np.array([0, 2]))
+    held = {}
+    for node in tape.nodes:
+        for cell in node.run.__closure__ or ():
+            arr = cell.cell_contents
+            if isinstance(arr, np.ndarray):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                held[id(arr)] = arr.nbytes
+    kept = spans.kept_bytes(tape.nodes)
+    assert kept > 0
+    assert kept == sum(held.values())
+    assert spans.subnormal_counts(tape.nodes) == (0, 0)
+    tape.nodes[-1].outs[0].grad = np.full((1, 1, 1, 1), 1e-40, dtype=np.float32)
+    assert spans.subnormal_counts(tape.nodes) == (1, 1)
