@@ -17,7 +17,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,142 +33,115 @@ from .data import (
     synth_dataset,
 )
 from .gradcheck import GradCheckError, run_suite
-from .model import TKFNet, model_config
+from .model import PRESETS, TKFNet, model_config
 from .tensor import ShapeError
 from .train import LrSchedule, MomentumOptimizer, evaluate, fit
 from .weights import WeightsFormatError, read_weights, write_weights
 
-EXIT_OK = 0
-EXIT_VERIFY = 1
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_SHAPE = 4
-EXIT_NUMERIC = 5
+# ERR category -> exit code.
+EXIT_CODES = {"VERIFY": 1, "CONFIG": 2, "IO": 3, "SHAPE": 4, "NUMERIC": 5}
 
 
 class CliError(Exception):
-    def __init__(self, category, code, message):
+    def __init__(self, category, message):
         super().__init__(message)
         self.category = category
-        self.code = code
 
 
-def _config_error(message):
-    return CliError("CONFIG", EXIT_CONFIG, message)
+# Config-value parsers, called with the setting's name and the text to parse.
 
 
-def _io_error(message):
-    return CliError("IO", EXIT_IO, message)
+def _choice(options):
+    def parse(key, text):
+        if text not in options:
+            raise CliError("CONFIG",
+                           f"{key} must be one of {'|'.join(sorted(options))}, got {text!r}")
+        return text
+
+    return parse
 
 
-def _shape_error(message):
-    return CliError("SHAPE", EXIT_SHAPE, message)
+def _int(minimum=None):
+    def parse(key, text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise CliError("CONFIG", f"{key} must be an integer, got {text!r}") from None
+        if minimum is not None and value < minimum:
+            raise CliError("CONFIG", f"{key} must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _verify_error(message):
-    return CliError("VERIFY", EXIT_VERIFY, message)
+def _float(minimum=None, exclusive_min=None, exclusive_max=None):
+    def parse(key, text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise CliError("CONFIG", f"{key} must be a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise CliError("CONFIG", f"{key} must be finite, got {value}")
+        if minimum is not None and value < minimum:
+            raise CliError("CONFIG", f"{key} must be >= {minimum}, got {value}")
+        if exclusive_min is not None and value <= exclusive_min:
+            raise CliError("CONFIG", f"{key} must be > {exclusive_min}, got {value}")
+        if exclusive_max is not None and value >= exclusive_max:
+            raise CliError("CONFIG", f"{key} must be < {exclusive_max}, got {value}")
+        return value
+
+    return parse
 
 
-def _numeric_error(message):
-    return CliError("NUMERIC", EXIT_NUMERIC, message)
+def _switch(key, text):
+    lowered = text.strip().lower()
+    if lowered in ("on", "true", "1", "yes"):
+        return True
+    if lowered in ("off", "false", "0", "no"):
+        return False
+    raise CliError("CONFIG", f"{key} must be on or off, got {text!r}")
+
+
+def _text(key, text):
+    return text
+
+
+def _setting(default, parse, flag=None, help=None):
+    """A run setting: its default, its config-file parser and, unless it is
+    config-file only, its command-line flag with the flag's help text."""
+    return field(default=default, metadata={"parse": parse, "flag": flag, "help": help})
 
 
 @dataclass
 class RunConfig:
-    model: str | None = None
-    classes: int | None = None
-    epochs: int = 60
-    batch_size: int = 128
-    lr_init: float = 0.1
-    lr_end: float = 0.01
-    power: float = 0.5
-    momentum: float = 0.9
-    seed: int = 0
-    input_size: int = 224
-    normalize: bool = True
-    val_split: float = 0.0
-    data: str | None = None
-    out: str | None = None
+    """Every run setting, in manifest order."""
+
+    model: str | None = _setting(None, _choice(PRESETS), "--model", " or ".join(PRESETS))
+    classes: int | None = _setting(None, _int(minimum=1))
+    epochs: int = _setting(60, _int(minimum=0), "--epochs")
+    batch_size: int = _setting(128, _int(minimum=1), "--batch")
+    lr_init: float = _setting(0.1, _float(exclusive_min=0.0), "--lr")
+    lr_end: float = _setting(0.01, _float(minimum=0.0), "--lr-end")
+    power: float = _setting(0.5, _float(exclusive_min=0.0), "--power")
+    momentum: float = _setting(0.9, _float(minimum=0.0, exclusive_max=1.0), "--momentum")
+    seed: int = _setting(0, _int(), "--seed", "RNG seed")
+    input_size: int = _setting(224, _int(minimum=1))
+    normalize: bool = _setting(True, _switch)
+    val_split: float = _setting(0.0, _float(minimum=0.0, exclusive_max=1.0))
+    data: str | None = _setting(None, _text, "--data", "dataset folder or synth:CxNxS")
+    out: str | None = _setting(None, _text, "--out", "output directory")
 
 
-def _parse_choice(key, options):
-    def conv(text):
-        if text not in options:
-            raise _config_error(f"{key} must be one of {'|'.join(sorted(options))}, got {text!r}")
-        return text
-
-    return conv
-
-
-def _parse_int(key, minimum=None):
-    def conv(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise _config_error(f"{key} must be an integer, got {text!r}") from None
-        if minimum is not None and value < minimum:
-            raise _config_error(f"{key} must be >= {minimum}, got {value}")
-        return value
-
-    return conv
-
-
-def _parse_float(key, minimum=None, exclusive_min=None, exclusive_max=None):
-    def conv(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise _config_error(f"{key} must be a number, got {text!r}") from None
-        if not math.isfinite(value):
-            raise _config_error(f"{key} must be finite, got {value}")
-        if minimum is not None and value < minimum:
-            raise _config_error(f"{key} must be >= {minimum}, got {value}")
-        if exclusive_min is not None and value <= exclusive_min:
-            raise _config_error(f"{key} must be > {exclusive_min}, got {value}")
-        if exclusive_max is not None and value >= exclusive_max:
-            raise _config_error(f"{key} must be < {exclusive_max}, got {value}")
-        return value
-
-    return conv
-
-
-def _parse_switch(key):
-    def conv(text):
-        lowered = text.strip().lower()
-        if lowered in ("on", "true", "1", "yes"):
-            return True
-        if lowered in ("off", "false", "0", "no"):
-            return False
-        raise _config_error(f"{key} must be on or off, got {text!r}")
-
-    return conv
-
-
-CONFIG_PARSERS = {
-    "model": _parse_choice("model", ("base", "small")),
-    "classes": _parse_int("classes", minimum=1),
-    "epochs": _parse_int("epochs", minimum=0),
-    "batch_size": _parse_int("batch_size", minimum=1),
-    "lr_init": _parse_float("lr_init", exclusive_min=0.0),
-    "lr_end": _parse_float("lr_end", minimum=0.0),
-    "power": _parse_float("power", exclusive_min=0.0),
-    "momentum": _parse_float("momentum", minimum=0.0, exclusive_max=1.0),
-    "seed": _parse_int("seed"),
-    "input_size": _parse_int("input_size", minimum=1),
-    "normalize": _parse_switch("normalize"),
-    "val_split": _parse_float("val_split", minimum=0.0, exclusive_max=1.0),
-    "data": str,
-    "out": str,
-}
+CONFIG_PARSERS = {f.name: partial(f.metadata["parse"], f.name) for f in fields(RunConfig)}
 
 
 def _parse_config_file(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _io_error(f"cannot read config file {path}: {exc}") from exc
+        raise CliError("IO", f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _config_error(f"config file {path} is not UTF-8 (byte {exc.start})") from exc
+        raise CliError("CONFIG", f"config file {path} is not UTF-8 (byte {exc.start})") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -177,43 +151,21 @@ def _parse_config_file(path):
         key = key.strip()
         value = value.strip()
         if not sep or not key:
-            raise _config_error(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            raise CliError("CONFIG", f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         if key not in CONFIG_PARSERS:
-            raise _config_error(f"{path}:{lineno}: unknown config key {key!r}")
+            raise CliError("CONFIG", f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = CONFIG_PARSERS[key](value)
     return values
 
 
-# argparse destination -> RunConfig field
-_FLAG_FIELDS = {
-    "seed": "seed",
-    "model": "model",
-    "data": "data",
-    "out": "out",
-    "epochs": "epochs",
-    "batch": "batch_size",
-    "lr": "lr_init",
-    "lr_end": "lr_end",
-    "power": "power",
-    "momentum": "momentum",
-}
-
-
 def _load_run_config(args):
-    """RunConfig plus the set of field names the user set explicitly."""
-    cfg = RunConfig()
-    explicit = set()
-    if getattr(args, "config", None):
-        values = _parse_config_file(args.config)
-        explicit.update(values)
-        cfg = replace(cfg, **values)
-    overrides = {}
-    for dest, field in _FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[field] = value
-    explicit.update(overrides)
-    return (replace(cfg, **overrides) if overrides else cfg), explicit
+    """RunConfig from the config file's values and the flags, which win, plus
+    the set of field names the user set explicitly."""
+    values = _parse_config_file(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    return RunConfig(**values), set(values)
 
 
 _SYNTH_RE = re.compile(r"^(?:synth:)?(\d+)x(\d+)x(\d+)$")
@@ -222,16 +174,15 @@ _SYNTH_RE = re.compile(r"^(?:synth:)?(\d+)x(\d+)x(\d+)$")
 def _parse_synth_spec(text):
     match = _SYNTH_RE.match(text)
     if match is None:
-        raise _config_error(
-            f"synthetic dataset spec must look like synth:CLASSESxPER_CLASSxSIZE, got {text!r}"
-        )
+        raise CliError("CONFIG", "synthetic dataset spec must look like "
+                       f"synth:CLASSESxPER_CLASSxSIZE, got {text!r}")
     classes, per_class, size = (int(g) for g in match.groups())
     if not 1 <= classes <= 7:
-        raise _config_error(f"synthetic classes must be 1..7, got {classes}")
+        raise CliError("CONFIG", f"synthetic classes must be 1..7, got {classes}")
     if per_class < 1:
-        raise _config_error(f"synthetic per-class count must be >= 1, got {per_class}")
+        raise CliError("CONFIG", f"synthetic per-class count must be >= 1, got {per_class}")
     if size < 1:
-        raise _config_error(f"synthetic image size must be >= 1, got {size}")
+        raise CliError("CONFIG", f"synthetic image size must be >= 1, got {size}")
     return classes, per_class, size
 
 
@@ -255,10 +206,10 @@ def _format_value(value):
 def _manifest_lines(command, cfg, class_names=None, extra=()):
     lines = [f"command={command}"]
     lines.extend(f"{key}={_format_value(value)}" for key, value in extra)
-    for field in fields(RunConfig):
-        if field.name == "out":
+    for f in fields(RunConfig):
+        if f.name == "out":
             continue
-        lines.append(f"{field.name}={_format_value(getattr(cfg, field.name))}")
+        lines.append(f"{f.name}={_format_value(getattr(cfg, f.name))}")
     if class_names:
         lines.extend(f"class_{i}={name}" for i, name in enumerate(class_names))
     return lines
@@ -305,9 +256,8 @@ def _check_stdout(text, class_names):
         return
     bad = [name for name in class_names if not _encodes(name, encoding, errors)]
     what = f"class name {ascii(bad[0])}" if bad else "the output text"
-    raise _config_error(
-        f"stdout encoding {encoding} cannot encode {what}; set PYTHONIOENCODING=utf-8"
-    )
+    raise CliError("CONFIG",
+                   f"stdout encoding {encoding} cannot encode {what}; set PYTHONIOENCODING=utf-8")
 
 
 def _emit_manifest(out_dir, command, cfg, class_names=None, extra=(), report=""):
@@ -330,13 +280,13 @@ def _emit_manifest(out_dir, command, cfg, class_names=None, extra=(), report="")
 def _ensure_out_dir(cfg, required=False):
     if cfg.out is None:
         if required:
-            raise _config_error("this command requires --out (or out= in the config file)")
+            raise CliError("CONFIG", "this command requires --out (or out= in the config file)")
         return None
     out_dir = Path(cfg.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _io_error(f"cannot create output directory {out_dir}: {exc}") from exc
+        raise CliError("IO", f"cannot create output directory {out_dir}: {exc}") from exc
     return out_dir
 
 
@@ -347,9 +297,23 @@ def _confusion_csv(confusion, class_names):
     return "\n".join(lines) + "\n"
 
 
+def _write_scores(out_dir, metrics, class_names, extra=""):
+    """Write final.txt, ending in ``extra``, and confusion.csv into
+    ``out_dir`` unless it is None; return the count 'correct/total'."""
+    correct = int(np.trace(metrics.confusion))
+    total = int(metrics.confusion.sum())
+    if out_dir is not None:
+        _write_text(
+            out_dir / "final.txt",
+            f"accuracy={metrics.accuracy:.6f}\ncorrect={correct}\nsamples={total}\n{extra}",
+        )
+        _write_text(out_dir / "confusion.csv", _confusion_csv(metrics.confusion, class_names))
+    return f"{correct}/{total}"
+
+
 def _check_class_count(cfg, found, origin):
     if cfg.classes is not None and cfg.classes != found:
-        raise _shape_error(f"config requests {cfg.classes} classes but {origin} has {found}")
+        raise CliError("SHAPE", f"config requests {cfg.classes} classes but {origin} has {found}")
 
 
 def _check_finite(records, model):
@@ -357,10 +321,8 @@ def _check_finite(records, model):
     epochs = [r.epoch for r in records if not math.isfinite(r.mean_loss)]
     params = [p.name for p in model.parameters() if not np.isfinite(p.data).all()]
     if epochs or params:
-        raise _numeric_error(
-            f"training diverged: {len(epochs)} epochs with a non-finite loss, "
-            f"{len(params)} parameters with non-finite values; no weights written"
-        )
+        raise CliError("NUMERIC", f"training diverged: {len(epochs)} epochs with a non-finite "
+                       f"loss, {len(params)} parameters with non-finite values; no weights written")
 
 
 def cmd_train(args):
@@ -368,7 +330,7 @@ def cmd_train(args):
     if cfg.model is None:
         cfg = replace(cfg, model="base")
     if cfg.data is None:
-        raise _config_error("train requires --data (a dataset folder or synth:CxNxS)")
+        raise CliError("CONFIG", "train requires --data (a dataset folder or synth:CxNxS)")
     out_dir = _ensure_out_dir(cfg, required=True)
 
     dataset = _resolve_dataset(cfg.data, cfg.seed)
@@ -404,8 +366,6 @@ def cmd_train(args):
     _check_finite(records, model)
 
     metrics = evaluate(model, eval_set, input_size=size, normalize=cfg.normalize)
-    correct = int(np.trace(metrics.confusion))
-    total = int(metrics.confusion.sum())
 
     # Each file appears complete or not at all; the manifest comes last.
     _write_text(
@@ -414,47 +374,38 @@ def cmd_train(args):
     )
     _write_text(out_dir / "timing.log", "".join(f"{r.epoch}\t{r.seconds:.3f}\n" for r in records))
     _write_file(out_dir / "weights.tkfw", lambda tmp: write_weights(tmp, model.state_arrays()))
-    _write_text(
-        out_dir / "final.txt",
-        f"accuracy={metrics.accuracy:.6f}\n"
-        f"correct={correct}\n"
-        f"samples={total}\n"
-        f"eval_split={eval_origin}\n",
-    )
-    _write_text(out_dir / "confusion.csv", _confusion_csv(metrics.confusion, dataset.class_names))
+    counts = _write_scores(out_dir, metrics, dataset.class_names, f"eval_split={eval_origin}\n")
     _emit_manifest(out_dir, "train", cfg, dataset.class_names)
-    print(f"accuracy {metrics.accuracy:.6f} ({correct}/{total} on {eval_origin})")
-    return EXIT_OK
+    print(f"accuracy {metrics.accuracy:.6f} ({counts} on {eval_origin})")
 
 
 def _weights_geometry(arrays):
     head = arrays.get("dcif.head.weight")
     if head is None:
-        raise _shape_error("weights file lacks the classifier record dcif.head.weight")
+        raise CliError("SHAPE", "weights file lacks the classifier record dcif.head.weight")
     stem = arrays.get("backbone.stem.weight")
     if stem is None:
-        raise _shape_error("weights file lacks the stem record backbone.stem.weight")
+        raise CliError("SHAPE", "weights file lacks the stem record backbone.stem.weight")
     classes = int(head.shape[3])
     stem_width = int(stem.shape[3])
-    for name in ("small", "base"):
-        if model_config(name, classes).backbone.stem_channels == stem_width:
+    for name, backbone in PRESETS.items():
+        if backbone.stem_channels == stem_width:
             return name, classes
-    raise _shape_error(f"stem width {stem_width} matches no known model preset")
+    raise CliError("SHAPE", f"stem width {stem_width} matches no known model preset")
 
 
-def _read_manifest(weights_path):
-    """key -> value of the manifest beside a weights file.
+def _read_manifest(path):
+    """key -> value of a manifest.
 
     {} if there is none or it cannot be opened; a manifest that is not UTF-8
     is a configuration error.
     """
-    path = Path(weights_path).parent / "manifest.txt"
     try:
         text = path.read_text(encoding="utf-8")
     except OSError:
         return {}
     except UnicodeDecodeError as exc:
-        raise _config_error(f"manifest {path} is not UTF-8 (byte {exc.start})") from exc
+        raise CliError("CONFIG", f"manifest {path} is not UTF-8 (byte {exc.start})") from exc
     manifest = {}
     for line in text.splitlines():
         key, sep, value = line.partition("=")
@@ -463,31 +414,32 @@ def _read_manifest(weights_path):
     return manifest
 
 
-def _adopt_run_settings(cfg, explicit, manifest):
-    """Align preprocessing with how the weights were trained.
+def _adopt_run_settings(cfg, explicit, weights_path):
+    """Align preprocessing with how the weights were trained; return the
+    aligned config and the manifest beside the weights.
 
-    The manifest written beside a weights file records the training
-    input_size and normalize switch; adopt them unless the user set those
-    fields. Weights without a readable manifest keep the defaults.
+    That manifest records the training input_size and normalize switch;
+    adopt them unless the user set those fields, and refuse a value that
+    does not parse. Weights without a readable manifest keep the defaults.
     """
+    path = Path(weights_path).parent / "manifest.txt"
+    manifest = _read_manifest(path)
     updates = {}
     for key in ("input_size", "normalize"):
         if key in manifest and key not in explicit:
             try:
                 updates[key] = CONFIG_PARSERS[key](manifest[key])
-            except CliError:
-                continue
-    return replace(cfg, **updates) if updates else cfg
+            except CliError as exc:
+                raise CliError("CONFIG", f"manifest {path}: {exc}") from None
+    return replace(cfg, **updates), manifest
 
 
 def _load_model(weights_path, cfg):
     arrays = read_weights(weights_path)
     bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
     if bad:
-        raise _numeric_error(
-            f"weights file {weights_path} has non-finite values in {len(bad)} of "
-            f"{len(arrays)} records, first {bad[0]}"
-        )
+        raise CliError("NUMERIC", f"weights file {weights_path} has non-finite values in "
+                       f"{len(bad)} of {len(arrays)} records, first {bad[0]}")
     detected_model, classes = _weights_geometry(arrays)
     model_name = cfg.model or detected_model
     _check_class_count(cfg, classes, f"the weights file {weights_path}")
@@ -498,37 +450,25 @@ def _load_model(weights_path, cfg):
 def cmd_eval(args):
     cfg, explicit = _load_run_config(args)
     if cfg.data is None:
-        raise _config_error("eval requires --data (a dataset folder or synth:CxNxS)")
-    cfg = _adopt_run_settings(cfg, explicit, _read_manifest(args.weights))
+        raise CliError("CONFIG", "eval requires --data (a dataset folder or synth:CxNxS)")
+    cfg, _ = _adopt_run_settings(cfg, explicit, args.weights)
     out_dir = _ensure_out_dir(cfg)
     model, cfg = _load_model(args.weights, cfg)
 
     dataset = _resolve_dataset(cfg.data, cfg.seed)
     found = len(dataset.class_names)
     if found != cfg.classes:
-        raise _shape_error(
-            f"weights at {args.weights} classify {cfg.classes} classes "
-            f"but the dataset has {found}"
-        )
+        raise CliError("SHAPE", f"weights at {args.weights} classify {cfg.classes} classes "
+                       f"but the dataset has {found}")
 
     size = (cfg.input_size, cfg.input_size)
     metrics = evaluate(model, dataset, input_size=size, normalize=cfg.normalize)
-    correct = int(np.trace(metrics.confusion))
-    total = int(metrics.confusion.sum())
-    csv_text = _confusion_csv(metrics.confusion, dataset.class_names)
-
-    if out_dir is not None:
-        _write_text(out_dir / "confusion.csv", csv_text)
-        _write_text(
-            out_dir / "final.txt",
-            f"accuracy={metrics.accuracy:.6f}\ncorrect={correct}\nsamples={total}\n",
-        )
-    report = f"accuracy {metrics.accuracy:.6f} ({correct}/{total})\n"
+    counts = _write_scores(out_dir, metrics, dataset.class_names)
+    report = f"accuracy {metrics.accuracy:.6f} ({counts})\n"
     if out_dir is None:
-        report += csv_text
+        report += _confusion_csv(metrics.confusion, dataset.class_names)
     extra = (("weights", args.weights),)
     _emit_manifest(out_dir, "eval", cfg, dataset.class_names, extra, report)
-    return EXIT_OK
 
 
 def _class_names(manifest, classes):
@@ -545,9 +485,8 @@ def _class_names(manifest, classes):
 def cmd_infer(args):
     cfg, explicit = _load_run_config(args)
     if args.dump_attention and cfg.out is None:
-        raise _config_error("--dump-attention requires --out")
-    manifest = _read_manifest(args.weights)
-    cfg = _adopt_run_settings(cfg, explicit, manifest)
+        raise CliError("CONFIG", "--dump-attention requires --out")
+    cfg, manifest = _adopt_run_settings(cfg, explicit, args.weights)
     out_dir = _ensure_out_dir(cfg)
     model, cfg = _load_model(args.weights, cfg)
 
@@ -570,7 +509,6 @@ def cmd_infer(args):
         lines = ["channel,eta"]
         lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(values))
         _write_text(out_dir / "attention.csv", "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
 def cmd_gradcheck(args):
@@ -578,25 +516,22 @@ def cmd_gradcheck(args):
     if cfg.model is None:
         cfg = replace(cfg, model="small")
     if cfg.model != "small":
-        raise _config_error("gradcheck supports only the small model")
+        raise CliError("CONFIG", "gradcheck supports only the small model")
     out_dir = _ensure_out_dir(cfg)
     _emit_manifest(out_dir, "gradcheck", cfg)
 
-    failures = []
-
-    def report(name, err, tolerance):
-        print(f"{name} max_rel_err {err:.3e} tolerance {tolerance:g}")
+    results = run_suite(
+        seed=cfg.seed,
+        op_seeds=25,
+        model_samples=50,
+        progress=lambda name, err, tol: print(f"{name} max_rel_err {err:.3e} tolerance {tol:g}"),
+        fail_fast=True,
+    )
+    for name, (err, tolerance) in results.items():
         if not err <= tolerance:
-            failures.append((name, err, tolerance))
-
-    run_suite(seed=cfg.seed, op_seeds=25, model_samples=50, progress=report, fail_fast=True)
-    if failures:
-        name, err, tolerance = failures[0]
-        raise _verify_error(
-            f"gradient check failed: {name} max relative error {err:.3e} exceeds {tolerance:g}"
-        )
+            raise CliError("VERIFY", f"gradient check failed: {name} max relative error "
+                           f"{err:.3e} exceeds {tolerance:g}")
     print("gradient check passed")
-    return EXIT_OK
 
 
 def cmd_synth(args):
@@ -620,37 +555,41 @@ def cmd_synth(args):
     extra = (("spec", f"synth:{classes}x{per_class}x{size}"),)
     _emit_manifest(out_dir, "synth", cfg, dataset.class_names, extra)
     print(f"wrote {written} files across {classes} classes to {out_dir}")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _config_error(message)
+        raise CliError("CONFIG", message)
 
 
 def _build_parser():
+    settings = {f.name: f.metadata for f in fields(RunConfig)}
+
+    def add_flags(parser, *names):
+        for name in names:
+            flag = settings[name]["flag"]
+            parser.add_argument(
+                flag,
+                dest=name,
+                type=CONFIG_PARSERS[name],
+                help=settings[name]["help"],
+                metavar=flag[2:].replace("-", "_").upper(),
+            )
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--seed", type=CONFIG_PARSERS["seed"], help="RNG seed")
-    common.add_argument("--model", type=CONFIG_PARSERS["model"], help="base or small")
-    common.add_argument("--out", help="output directory")
+    add_flags(common, "seed", "model", "out")
 
     parser = _Parser(prog="tkfnet", description="texture-attentive expression classifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", parents=[common], help="train a model")
-    train.add_argument("--data", help="dataset folder or synth:CxNxS")
-    train.add_argument("--epochs", type=CONFIG_PARSERS["epochs"])
-    train.add_argument("--batch", type=CONFIG_PARSERS["batch_size"])
-    train.add_argument("--lr", type=CONFIG_PARSERS["lr_init"])
-    train.add_argument("--lr-end", dest="lr_end", type=CONFIG_PARSERS["lr_end"])
-    train.add_argument("--power", type=CONFIG_PARSERS["power"])
-    train.add_argument("--momentum", type=CONFIG_PARSERS["momentum"])
+    add_flags(train, "data", "epochs", "batch_size", "lr_init", "lr_end", "power", "momentum")
     train.set_defaults(handler=cmd_train)
 
     evaluate_cmd = sub.add_parser("eval", parents=[common], help="evaluate saved weights")
     evaluate_cmd.add_argument("weights", help="path to a .tkfw weights file")
-    evaluate_cmd.add_argument("--data", help="dataset folder or synth:CxNxS")
+    add_flags(evaluate_cmd, "data")
     evaluate_cmd.set_defaults(handler=cmd_eval)
 
     infer = sub.add_parser("infer", parents=[common], help="classify one image")
@@ -670,29 +609,32 @@ def _build_parser():
     return parser
 
 
-def _fail(category, code, exc):
-    reason = " ".join(str(exc).split()) or exc.__class__.__name__
-    print(f"ERR:{category}: {reason}", file=sys.stderr)
-    return code
+# Exception type -> ERR category, for errors raised below the CLI. The first
+# match wins: ShapeError, DataError and WeightsFormatError are ValueErrors too.
+_CATEGORIES = {
+    ShapeError: "SHAPE",
+    DataError: "IO",
+    WeightsFormatError: "IO",
+    GradCheckError: "VERIFY",
+    OSError: "IO",
+    ValueError: "CONFIG",
+}
 
 
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
-    except CliError as exc:
-        return _fail(exc.category, exc.code, exc)
-    except ShapeError as exc:
-        return _fail("SHAPE", EXIT_SHAPE, exc)
-    except (DataError, WeightsFormatError) as exc:
-        return _fail("IO", EXIT_IO, exc)
-    except GradCheckError as exc:
-        return _fail("VERIFY", EXIT_VERIFY, exc)
-    except OSError as exc:
-        return _fail("IO", EXIT_IO, exc)
-    except ValueError as exc:
-        return _fail("CONFIG", EXIT_CONFIG, exc)
+        args.handler(args)
+    except (CliError, *_CATEGORIES) as exc:
+        if isinstance(exc, CliError):
+            category = exc.category
+        else:
+            category = next(c for kind, c in _CATEGORIES.items() if isinstance(exc, kind))
+        reason = " ".join(str(exc).split()) or exc.__class__.__name__
+        print(f"ERR:{category}: {reason}", file=sys.stderr)
+        return EXIT_CODES[category]
+    return 0
 
 
 if __name__ == "__main__":

@@ -230,10 +230,13 @@ def preprocess(sample, target=None, normalize=True):
 
 # Seven orientation families cover the label space; angles are k * pi / 7.
 MAX_SYNTH_CLASSES = 7
+# Grating cycles per pixel, mean amplitude and its relative jitter.
+SYNTH_FREQUENCY = 0.125
+SYNTH_AMPLITUDE = 0.35
+SYNTH_JITTER = 0.1
 
 
-def synth_dataset(classes=7, per_class=20, size=(32, 32), seed=0, noise_sigma=0.05,
-                  frequency=0.125, amplitude=0.35, jitter=0.1):
+def synth_dataset(classes=7, per_class=20, size=(32, 32), seed=0, noise_sigma=0.05):
     """Procedural corpus of oriented sinusoidal gratings.
 
     Each class has a fixed orientation; every sample draws a random phase,
@@ -255,8 +258,8 @@ def synth_dataset(classes=7, per_class=20, size=(32, 32), seed=0, noise_sigma=0.
         axis = xs * math.cos(angle) + ys * math.sin(angle)
         for _ in range(per_class):
             phase = rng.uniform(0.0, 2.0 * math.pi)
-            amp = amplitude * (1.0 + rng.uniform(-jitter, jitter))
-            img = 0.5 + amp * np.sin(2.0 * math.pi * frequency * axis + phase)
+            amp = SYNTH_AMPLITUDE * (1.0 + rng.uniform(-SYNTH_JITTER, SYNTH_JITTER))
+            img = 0.5 + amp * np.sin(2.0 * math.pi * SYNTH_FREQUENCY * axis + phase)
             if noise_sigma > 0:
                 img = img + rng.normal(0.0, noise_sigma, size=(h, w))
             img = np.clip(img, 0.0, 1.0).astype(np.float32)

@@ -244,9 +244,9 @@ def _sample_coords(inputs, count, rng, required=()):
 
 def check_backbone(seed=0, eps=1e-3, param_samples=100):
     from .backbone import build_backbone
-    from .model import ModelConfig
+    from .model import PRESETS
 
-    cfg = ModelConfig.small().backbone
+    cfg = PRESETS["small"]
     dtype = np.float64
     backbone = build_backbone(cfg, seed=seed, dtype=dtype)
     rng = np.random.default_rng([211, seed])
@@ -293,10 +293,10 @@ def check_loss(seed=0, eps=1e-3):
 def check_model(seed=0, eps=1e-3, samples=50, input_hw=16):
     """Full-network probe: sampled parameter coordinates against finite
     differences, always including the two descriptor scalars."""
-    from .model import ModelConfig, TKFNet
+    from .model import TKFNet, model_config
 
     dtype = np.float64
-    model = TKFNet(ModelConfig.small(), seed=seed, dtype=dtype)
+    model = TKFNet(model_config("small"), seed=seed, dtype=dtype)
     rng = np.random.default_rng([233, seed])
     x = Tensor(_uniform(rng, (1, input_hw, input_hw, 3), dtype, -1.0, 1.0))
     labels = rng.integers(0, model.config.classes, size=1)

@@ -15,39 +15,31 @@ class ModelConfig:
     backbone: BackboneConfig
     classes: int = 7
 
-    @staticmethod
-    def small(classes=7):
-        """Desk-scale variant: total stride 8, 16 backbone channels."""
-        return ModelConfig(
-            backbone=BackboneConfig(
-                stem_channels=8,
-                stage_widths=(8, 16),
-                blocks_per_stage=(1, 1),
-                stride_per_stage=(2, 2),
-            ),
-            classes=classes,
-        )
 
-    @staticmethod
-    def base(classes=7):
-        """Full-size variant: total stride 16, 128 backbone channels."""
-        return ModelConfig(
-            backbone=BackboneConfig(
-                stem_channels=32,
-                stage_widths=(32, 64, 128),
-                blocks_per_stage=(2, 2, 2),
-                stride_per_stage=(2, 2, 2),
-            ),
-            classes=classes,
-        )
+# Size presets by name; every list of model names reads this table.
+PRESETS = {
+    # Full-size variant: total stride 16, 128 backbone channels.
+    "base": BackboneConfig(
+        stem_channels=32,
+        stage_widths=(32, 64, 128),
+        blocks_per_stage=(2, 2, 2),
+        stride_per_stage=(2, 2, 2),
+    ),
+    # Desk-scale variant: total stride 8, 16 backbone channels.
+    "small": BackboneConfig(
+        stem_channels=8,
+        stage_widths=(8, 16),
+        blocks_per_stage=(1, 1),
+        stride_per_stage=(2, 2),
+    ),
+}
 
 
 def model_config(name, classes=7):
-    if name == "small":
-        return ModelConfig.small(classes)
-    if name == "base":
-        return ModelConfig.base(classes)
-    raise ValueError(f"unknown model size {name!r}; expected 'base' or 'small'")
+    if name not in PRESETS:
+        expected = " or ".join(repr(n) for n in PRESETS)
+        raise ValueError(f"unknown model size {name!r}; expected {expected}")
+    return ModelConfig(PRESETS[name], classes)
 
 
 class TKFNet:

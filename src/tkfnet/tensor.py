@@ -505,10 +505,8 @@ def spatial_moments(x):
 def global_pool(kind, x):
     """Global spatial pooling of (n, h, w, c) to (n, 1, 1, c).
 
-    'avg' averages over the whole spatial extent; 'max' takes the maximum,
-    routing the gradient to the first maximum in row-major scan order. With
-    no tape recording, 'max' skips locating the maximum; the value keeps its
-    bits, except that a maximum tied between +0 and -0 may take either sign.
+    'avg' averages over the whole spatial extent; 'max' takes the first
+    maximum in row-major scan order, and routes the gradient to it.
     """
     n, h, w, c = x.shape
     if h * w == 0:
@@ -520,11 +518,9 @@ def global_pool(kind, x):
     idx = None
     if kind == "avg":
         y = (_sorted_sum(flat.astype(np.float64), 1) / count).astype(x.dtype)
-    elif _taping(x.requires_grad):
+    else:
         idx = flat.argmax(axis=1)[:, None, :]
         y = np.take_along_axis(flat, idx, axis=1)
-    else:
-        y = flat.max(axis=1)
     out = Tensor(y.reshape(n, 1, 1, c), requires_grad=x.requires_grad)
     x_slot, out_slot = x._slot, out._slot
 

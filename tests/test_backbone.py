@@ -10,12 +10,12 @@ from tkfnet.backbone import (
     ResidualBlock,
     build_backbone,
 )
-from tkfnet.model import ModelConfig
+from tkfnet.model import PRESETS
 from tkfnet.tensor import ShapeError, Tensor
 
 
-SMALL = ModelConfig.small().backbone
-BASE = ModelConfig.base().backbone
+SMALL = PRESETS["small"]
+BASE = PRESETS["base"]
 
 
 def test_total_stride_composition():

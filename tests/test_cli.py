@@ -423,6 +423,45 @@ class TestManifestEncoding:
         assert [line.split()[1] for line in lines[1:]] == sorted(names)
 
 
+class TestManifestValues:
+    """A manifest value that would be adopted must parse, not fall back to
+    the default."""
+
+    BAD = {"input_size": "0", "normalize": "maybe"}
+
+    def broken_copy(self, trained, tmp_path):
+        weights = tmp_path / "weights.tkfw"
+        weights.write_bytes((trained / "weights.tkfw").read_bytes())
+        lines = (trained / "manifest.txt").read_text().splitlines()
+        for key, value in self.BAD.items():
+            lines = [f"{key}={value}" if l.startswith(f"{key}=") else l for l in lines]
+        (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+        return weights
+
+    @pytest.mark.parametrize("config, reason", [
+        ("", "input_size must be >= 1, got 0"),
+        ("input_size = 16\n", "normalize must be on or off, got 'maybe'"),
+    ], ids=["input_size", "normalize"])
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_invalid_adopted_value_is_config_error(self, trained, synth_tree, tmp_path, capsys,
+                                                   command, config, reason):
+        weights = self.broken_copy(trained, tmp_path)
+        (tmp_path / "run.cfg").write_text(config)
+        argv = {"infer": ["infer", str(weights), str(synth_tree / "grating_0" / "00000.ppm")],
+                "eval": ["eval", str(weights), "--data", "synth:3x4x16"]}[command]
+        assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ERR:CONFIG: manifest {tmp_path / 'manifest.txt'}: {reason}\n"
+
+    def test_values_the_user_sets_are_not_read(self, trained, synth_tree, tmp_path, capsys):
+        weights = self.broken_copy(trained, tmp_path)
+        (tmp_path / "run.cfg").write_text("input_size = 16\nnormalize = on\n")
+        image = synth_tree / "grating_0" / "00000.ppm"
+        assert main(["infer", str(weights), str(image), "--config", str(tmp_path / "run.cfg")]) == 0
+        assert "# input_size=16\n" in capsys.readouterr().out
+
+
 UMLAUT_NAMES = ["freude", "ärger", "überraschung"]
 
 

@@ -355,12 +355,16 @@ def test_accum_matches_zero_fill_bits(dtype, grad_dtype, layout):
 @pytest.mark.parametrize("shape", [(2, 5, 6, 4), (3, 1, 7, 2)])
 def test_max_pool_output_same_with_and_without_tape(shape):
     data = np.random.default_rng(2).normal(size=shape).astype(np.float32)
+    # A maximum tied between -0 and +0 keeps the sign of the first one.
+    data[0, :, :, 0] = 0.0
+    data[0, 0, 0, 0] = -0.0
     x = Tensor(data, requires_grad=True)
     untaped = global_pool("max", x)
     with Tape() as tape:
         taped = global_pool("max", x)
     assert len(tape.nodes) == 1
     assert_same_bits(untaped.data, taped.data)
+    assert np.signbit(untaped.data[0, 0, 0, 0])
 
 
 # Inputs to the pooling and fully connected bit tests: continuous values,

@@ -1,7 +1,12 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its CLI reference
+lists exactly the settings and flags that ``tkfnet.cli`` declares."""
 
+import argparse
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from tkfnet.cli import CONFIG_PARSERS, RunConfig, _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +18,50 @@ def test_library_use_example_runs(capsys):
     exec(compile(code.replace("epochs=60", "epochs=1"), str(README), "exec"), {})
     accuracy = float(capsys.readouterr().out)
     assert 0.0 <= accuracy <= 1.0
+
+
+def config_key_lines():
+    """Config key -> its line in the README's config-key block."""
+    section = README.read_text().split("### Config files", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    return {line.split()[0]: line for line in block.splitlines()}
+
+
+def subcommands():
+    """Subcommand name -> its parser."""
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def backticked_flags(text):
+    return set(re.findall(r"`(--[a-z-]+)[^`]*`", text))
+
+
+def test_config_keys_are_the_run_settings_with_their_defaults():
+    lines = config_key_lines()
+    assert sorted(lines) == sorted(f.name for f in fields(RunConfig))
+    for f in fields(RunConfig):
+        default = re.search(r"\(default ([^,)]+)", lines[f.name])
+        if f.default is None:
+            assert default is None, lines[f.name]
+        else:
+            assert default is not None, lines[f.name]
+            assert CONFIG_PARSERS[f.name](default.group(1)) == f.default, lines[f.name]
+
+
+def test_config_file_only_marks_the_settings_without_a_flag():
+    dests = {a.dest for sub in subcommands().values() for a in sub._actions if a.option_strings}
+    marked = {key for key, line in config_key_lines().items() if "config-file only" in line}
+    assert marked == {f.name for f in fields(RunConfig)} - dests
+
+
+def test_flag_lists_match_the_parsers():
+    flags = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands().items()
+    }
+    common = set.intersection(*flags.values())
+    cli = README.read_text().split("## CLI", 1)[1]
+    assert backticked_flags(re.search(r"All accept (.*?)\.\n", cli, re.S).group(1)) == common
+    train = cli.split("### train", 1)[1].split("###", 1)[0]
+    assert backticked_flags(re.search(r"Flags: (.*?)\. ", train, re.S).group(1)) == flags["train"] - common
