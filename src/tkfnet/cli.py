@@ -352,20 +352,21 @@ def cmd_train(args):
     optimizer = MomentumOptimizer(model.parameters(), schedule, momentum=cfg.momentum)
 
     size = (cfg.input_size, cfg.input_size)
-    records = fit(
-        model,
-        train_set,
-        optimizer,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        input_size=size,
-        normalize=cfg.normalize,
-        progress=lambda r: print(f"epoch {r.epoch} loss {r.mean_loss:.6f} lr {r.lr:.6f}"),
-    )
-    _check_finite(records, model)
-
-    metrics = evaluate(model, eval_set, input_size=size, normalize=cfg.normalize)
+    # A diverging run overflows; _check_finite reports it as the one stderr line.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        records = fit(
+            model,
+            train_set,
+            optimizer,
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+            seed=cfg.seed,
+            input_size=size,
+            normalize=cfg.normalize,
+            progress=lambda r: print(f"epoch {r.epoch} loss {r.mean_loss:.6f} lr {r.lr:.6f}"),
+        )
+        _check_finite(records, model)
+        metrics = evaluate(model, eval_set, input_size=size, normalize=cfg.normalize)
 
     # Each file appears complete or not at all; the manifest comes last.
     _write_text(

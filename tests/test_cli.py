@@ -141,6 +141,15 @@ class TestTrain:
         for name in ("weights.tkfw", "metrics.tsv", "final.txt"):
             assert not (out / name).exists(), name
 
+    def test_diverged_run_writes_only_the_error_line_to_stderr(self, tmp_path):
+        # A fresh interpreter, so numpy's overflow warnings would reach stderr.
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG)
+        result = run_cli("utf-8", "train", "--config", str(config), "--out", str(tmp_path / "o"),
+                         "--lr", "1e30", "--epochs", "2")
+        assert result.returncode == 5
+        assert result.stderr.startswith("ERR:NUMERIC:") and result.stderr.count("\n") == 1
+
     def test_failed_weights_write_leaves_no_partial_artifacts(self, tmp_path, monkeypatch, capsys):
         def write_half_then_fail(path, arrays):
             data = serialize_weights(arrays)

@@ -10,10 +10,14 @@ that releases nothing. The fast and merged paths must reproduce their float
 bits exactly, not just within a tolerance.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tkfnet.tensor
 from tkfnet.data import _axis_coords, _resize_bilinear
+from tkfnet.gradcheck import OP_TOLERANCE, _conv_case, grad_check
 from tkfnet.model import TKFNet, model_config
 from tkfnet.tensor import (
     Tape,
@@ -21,6 +25,7 @@ from tkfnet.tensor import (
     _accum,
     _conv_geometry,
     _record,
+    _sample_blocks,
     _sorted_sum,
     _taping,
     activation,
@@ -200,9 +205,7 @@ CONV_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "n{}_{}x{}_{}to{}_k{}s{}_same".format(*s))
-def test_conv2d_matches_reference_bits(shape, dtype):
+def assert_conv_matches_reference_bits(shape, dtype):
     n, h, w, cin, cout, k, stride = shape
     rng = np.random.default_rng(list(shape))
     x = rng.normal(size=(n, h, w, cin)).astype(dtype)
@@ -214,6 +217,106 @@ def test_conv2d_matches_reference_bits(shape, dtype):
     ref = conv_output_and_grads(reference_conv2d, x, weight, bias, upstream, stride)
     for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), fast, ref):
         assert_same_bits(a, b, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", CONV_SHAPES, ids=lambda s: "n{}_{}x{}_{}to{}_k{}s{}_same".format(*s))
+def test_conv2d_matches_reference_bits(shape, dtype):
+    assert_conv_matches_reference_bits(shape, dtype)
+
+
+def skip_unless_row_split_keeps_bits(n, h, w, cin, cout, k, stride, dtype):
+    """Skip unless the BLAS kernel in use gives this conv's GEMM, split at
+    its sample blocks, the whole GEMM's bits, as seen on seeded operands of
+    the same shapes. OpenBLAS 0.3.31's SkylakeX kernel does for every case
+    here; its Haswell kernel does not even at the stage-0 shape, and its
+    Prescott kernel not for some one-sample blocks."""
+    oh, ow, _ = _conv_geometry(h, w, k, k, stride)
+    rows, depth = oh * ow, k * k * cin
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(n * rows, depth)).astype(dtype)
+    b = rng.normal(size=(depth, cout)).astype(dtype)
+    split = np.concatenate([a[i * rows : j * rows] @ b for i, j in _sample_blocks(n, rows * depth)])
+    if not np.array_equal(bits(a @ b), bits(split)):
+        pytest.skip("the BLAS kernel in use gives this GEMM split into row blocks other bits than the whole GEMM")
+
+
+def test_sample_blocks_reach_the_floor_and_merge_the_remainder():
+    stage0 = 56 * 56 * 3 * 3 * 32  # patch elements of one sample, base@224 stage 0
+    assert _sample_blocks(8, stage0) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert _sample_blocks(7, stage0) == [(0, 2), (2, 4), (4, 7)]
+    assert _sample_blocks(1, stage0) == [(0, 1)]
+    # A batch under the floor, such as small@32's stem at batch 32, is one block.
+    assert _sample_blocks(32, 32 * 32 * 3 * 3 * 3) == [(0, 32)]
+    assert _sample_blocks(3, 1 << 21) == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("samples", [1, 2], ids=["blocks_of_1", "blocks_of_2"])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_conv2d_sample_blocks_match_reference_bits(monkeypatch, n, k, stride, samples, dtype):
+    # The least floor that makes each block `samples` samples; with two, an
+    # odd batch ends in a merged block of three.
+    shape = (n, 7, 5, 3, 4, k, stride)
+    oh, ow, _ = _conv_geometry(7, 5, k, k, stride)
+    monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", (samples - 1) * oh * ow * k * k * 3 + 1)
+    skip_unless_row_split_keeps_bits(*shape, dtype)
+    assert_conv_matches_reference_bits(shape, dtype)
+
+
+def test_stage0_conv_in_four_blocks_matches_reference_bits():
+    shape = (8, 56, 56, 32, 32, 3, 1)
+    skip_unless_row_split_keeps_bits(*shape, np.float32)
+    assert_conv_matches_reference_bits(shape, np.float32)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_grad_check_passes_through_one_sample_blocks(monkeypatch, stride):
+    monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", 1)
+    f, inputs = _conv_case(3, (3, 4, 5, 2), stride=stride)(np.random.default_rng(stride), np.float64)
+    assert grad_check(f, inputs) <= OP_TOLERANCE
+
+
+def traced_peak(fn):
+    """Bytes that ``fn()`` holds at its peak beyond what was live before it,
+    as tracemalloc counts numpy's buffers."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_conv2d_forward_holds_less_than_the_batch_patch_matrix():
+    n, h, w, c = 8, 56, 56, 32
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(n, h, w, c)).astype(np.float32))
+    weight = Tensor(rng.normal(size=(3, 3, c, c)).astype(np.float32))
+    bias = Tensor(np.zeros((1, 1, 1, c), dtype=np.float32))
+    patch_matrix = n * h * w * 3 * 3 * c * 4
+    assert traced_peak(lambda: conv2d(x, weight, bias)) < patch_matrix
+
+
+def test_conv2d_backward_holds_no_padded_copy_of_the_batch():
+    n, h, w, c = 8, 112, 112, 32
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(n, h, w, c)).astype(np.float32), requires_grad=True)
+    weight = Tensor(rng.normal(size=(3, 3, c, c)).astype(np.float32), requires_grad=True)
+    bias = Tensor(np.zeros((1, 1, 1, c), dtype=np.float32), requires_grad=True)
+    with Tape() as tape:
+        loss = reduce_sum(conv2d(x, weight, bias, stride=2))
+    oh, ow, (pt, pb, pl, pr) = _conv_geometry(h, w, 3, 3, 2)
+    patch_matrix = n * oh * ow * 3 * 3 * c * 4
+    padded_batch = n * (pt + h + pb) * (pl + w + pr) * c * 4
+    assert traced_peak(lambda: tape.backward(loss)) < patch_matrix + padded_batch
 
 
 def test_conv2d_without_tape_matches_reference_bits():

@@ -11,6 +11,7 @@ from tkfnet.train import (
     LrSchedule,
     Metrics,
     MomentumOptimizer,
+    EVAL_BATCH,
     compute_loss,
     evaluate,
     fit,
@@ -168,6 +169,14 @@ class TestEvaluate:
     def test_prediction_ties_take_lowest_index(self):
         logits = Tensor(np.zeros((3, 1, 1, 4), dtype=np.float32))
         np.testing.assert_array_equal(predictions(logits), [0, 0, 0])
+
+    @pytest.mark.parametrize("name", ["small", "base"])
+    def test_row_logits_have_the_same_bits_in_any_batch_of_eval_batch_or_more(self, name):
+        model = TKFNet(model_config(name, 7), seed=0)
+        x = np.random.default_rng(2).uniform(-1, 1, size=(16, 32, 32, 3)).astype(np.float32)
+        rows = [model(Tensor(x[:n])).data[:EVAL_BATCH] for n in (EVAL_BATCH, EVAL_BATCH + 1, 16)]
+        for other in rows[1:]:
+            np.testing.assert_array_equal(other.view(np.uint32), rows[0].view(np.uint32))
 
 
 class TestTrainingLoop:
