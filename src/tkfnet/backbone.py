@@ -1,6 +1,7 @@
 """ResNet-style convolutional feature extractor.
 
-Plain conv + relu residual blocks, no normalization layers. The stem halves
+Plain conv + relu residual blocks, no normalization layers; each block's
+last conv starts at zero, so the block starts as its shortcut. The stem halves
 the spatial extent; every stage may halve it again, so the input extent must
 be divisible by the combined stride.
 """
@@ -55,6 +56,12 @@ class ResidualBlock:
         self.stride = stride
         self.conv_a = Conv(f"{name}.conv_a", 3, 3, cin, cout, rng, dtype)
         self.conv_b = Conv(f"{name}.conv_b", 3, 3, cout, cout, rng, dtype)
+        # The branch's last kernel starts at zero, so each block starts as its
+        # shortcut (SkipInit, arXiv:2002.10444): with no normalization layer,
+        # activations otherwise grow about 8x over the base model's six blocks
+        # and training diverges. It is drawn first, so the other parameters
+        # keep their draws.
+        self.conv_b.weight.data[:] = 0
         if stride != 1 or cin != cout:
             self.proj = Conv(f"{name}.proj", 1, 1, cin, cout, rng, dtype)
         else:

@@ -39,9 +39,13 @@ so gradients do not change.
 A convolution's forward builds its im2col patch matrix and multiplies it a
 block of whole samples at a time, each block at least ``_PATCH_BLOCK``
 elements, so it never holds the whole batch's matrix. Backward rebuilds the
-whole matrix for its one kernel-gradient product. Either way each sample
-passes through one zero-padded buffer a sample in size, never through a
-padded copy of the batch.
+matrix for the kernel gradient a kernel row at a time, through one reused
+buffer, when each kernel row's columns hold at least ``_PATCH_BLOCK``
+elements, and whole, for one product, below that. Either way the samples
+pass a chunk at a time through one zero-padded buffer of at most
+``_PAD_CHUNK`` elements (or one sample), never through a padded copy of the
+batch. The input gradient is summed tap by tap into an unpadded buffer, which
+then becomes the input's gradient.
 
 A tape replays once. Right after a node has run, or has been skipped because
 none of its outputs received a gradient, backward drops the node's closure,
@@ -88,6 +92,9 @@ _ERF_BLOCK = 1 << 14
 # blocks can fall on OpenBLAS's small-matrix GEMM path, whose bits differ from
 # those of the whole batch's GEMM.
 _PATCH_BLOCK = 1 << 20
+# Most elements in _im2col's padded buffer, 256 KiB of float32: it holds as
+# many samples as fit, and at least one.
+_PAD_CHUNK = 1 << 16
 
 # Fault-injection hook for verification tooling: every gradient written by a
 # backward pass is scaled by this factor. Must stay at 1.0 in normal use; the
@@ -299,33 +306,53 @@ def _conv_geometry(h, w, kh, kw, stride):
     return oh, ow, (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
 
 
-def _im2col(data, kh, kw, stride, pads, oh, ow, out=None):
+def _im2col(data, kh, kw, stride, pads, oh, ow, out=None, kernel_rows=None):
     """The (n * oh * ow, kh * kw * cin) patch matrix of a convolution input,
     written into ``out`` when one is given.
 
     Row (b, i, j) holds the zero-padded kh x kw window under output pixel
-    (i, j) of sample b, taps in row-major order with channels fastest. A 1x1
-    stride-1 kernel's matrix is the input itself, as a view. Otherwise each
-    sample's windows are copied straight into the matrix, from the sample
-    itself or, when the kernel pads, from one reused padded buffer a sample
-    in size, whose zero border is written once.
+    (i, j) of sample b, taps in row-major order with channels fastest. With
+    ``kernel_rows = (r0, r1)`` only the columns of taps in kernel rows r0 to
+    r1 - 1 are written, an (n * oh * ow, (r1 - r0) * kw * cin) matrix. A 1x1
+    stride-1 kernel's matrix is the input itself, as a view. Otherwise the
+    windows are copied straight into the matrix, from the input itself or,
+    when the kernel pads, a chunk of samples at a time from one reused padded
+    buffer of at most ``_PAD_CHUNK`` elements (or one sample), whose zero
+    border is written once.
     """
     n, h, w, cin = data.shape
     if (kh, kw, stride) == (1, 1, 1):
         return data.reshape(n * h * w, cin)
+    r0, r1 = kernel_rows or (0, kh)
     if out is None:
-        out = np.empty((n * oh * ow, kh * kw * cin), dtype=data.dtype)
+        out = np.empty((n * oh * ow, (r1 - r0) * kw * cin), dtype=data.dtype)
+    dst = out.reshape(n, oh, ow, r1 - r0, kw, cin)
     pt, pb, pl, pr = pads
-    xp = np.zeros((pt + h + pb, pl + w + pr, cin), dtype=data.dtype) if any(pads) else None
-    dst = out.reshape(n, oh, ow, kh, kw, cin)
-    for b in range(n):
-        src = data[b]
+    chunk, xp = n, None
+    if any(pads):
+        hp, wp = pt + h + pb, pl + w + pr
+        chunk = max(1, min(n, _PAD_CHUNK // (hp * wp * cin)))
+        xp = np.zeros((chunk, hp, wp, cin), dtype=data.dtype)
+    for b in range(0, n, chunk):
+        src = data[b : b + chunk]
         if xp is not None:
-            xp[pt : pt + h, pl : pl + w] = src
-            src = xp
-        windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(0, 1))
-        dst[b] = windows[::stride, ::stride].transpose(0, 1, 3, 4, 2)
+            xp[: len(src), pt : pt + h, pl : pl + w] = src
+            src = xp[: len(src)]
+        windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(1, 2))
+        dst[b : b + chunk] = windows[:, ::stride, ::stride, :, r0:r1].transpose(0, 1, 2, 4, 5, 3)
     return out
+
+
+def _tap_span(tap, pad, extent, out_extent, stride):
+    """(output slice, input slice) along one axis: the output positions whose
+    window puts kernel tap ``tap`` inside the input, and the input positions
+    it reads there. None when it reads none."""
+    first = max(0, -((tap - pad) // stride))
+    stop = min(out_extent, -((tap - pad - extent) // stride))
+    if stop <= first:
+        return None
+    start = first * stride + tap - pad
+    return slice(first, stop), slice(start, start + (stop - first - 1) * stride + 1, stride)
 
 
 def _sample_blocks(n, per_sample):
@@ -391,25 +418,46 @@ def conv2d(x, weight, bias, stride=1):
         g2 = out_slot.grad.reshape(n * oh * ow, cout)
         if x_data is not None:
             # The same copy of the input as in the forward pass, rebuilt
-            # rather than kept on the tape, and freed before any gradient
-            # buffer is allocated.
-            cols = _im2col(x_data, kh, kw, stride, pads, oh, ow)
-            gw = (cols.T @ g2).reshape(kh, kw, cin, cout)
-            del cols
-            _accum(w_slot, gw)
+            # rather than kept on the tape, and freed before the input
+            # gradient is allocated. When each kernel row's columns hold at
+            # least _PATCH_BLOCK elements, it is built and multiplied a kernel
+            # row at a time through one reused buffer; otherwise in one GEMM,
+            # since a split small GEMM can round differently.
+            band = kw * cin
+            gw = np.empty((kh * band, cout), dtype=np.result_type(x_data, g2))
+            if kh > 1 and n * oh * ow * band >= _PATCH_BLOCK:
+                kernel_rows = [(i, i + 1) for i in range(kh)]
+                buf = np.empty((n * oh * ow, band), dtype=x_data.dtype)
+            else:
+                kernel_rows, buf = [(0, kh)], None
+            for r0, r1 in kernel_rows:
+                cols = _im2col(x_data, kh, kw, stride, pads, oh, ow, out=buf, kernel_rows=(r0, r1))
+                np.matmul(cols.T, g2, out=gw[r0 * band : r1 * band])
+            del cols, buf
+            _accum(w_slot, gw.reshape(kh, kw, cin, cout))
         if b_slot.requires_grad:
             _accum(b_slot, g2.sum(axis=0, dtype=np.float64).reshape(1, 1, 1, cout))
         if x_slot.requires_grad:
             # One (cin, cout) slice of the kernel per tap: the same products
             # and sums as the full im2col gradient, without its kh*kw-fold
-            # copy of the input.
-            pt, pb, pl, pr = pads
-            gxp = np.zeros((n, pt + h + pb, pl + w + pr, cin), dtype=x_slot.dtype)
+            # copy of the input. Each tap adds only into the input pixels it
+            # reads, so no padded buffer is needed.
+            pt, _, pl, _ = pads
+            gx = np.zeros((n, h, w, cin), dtype=x_slot.dtype)
             for i in range(kh):
+                span_h = _tap_span(i, pt, h, oh, stride)
                 for j in range(kw):
-                    window = gxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :]
-                    window += (g2 @ w_data[i, j].T).reshape(n, oh, ow, cin)
-            _accum(x_slot, gxp[:, pt : pt + h, pl : pl + w, :])
+                    span_w = _tap_span(j, pl, w, ow, stride)
+                    if span_h is None or span_w is None:
+                        continue
+                    (out_h, in_h), (out_w, in_w) = span_h, span_w
+                    gtap = (g2 @ w_data[i, j].T).reshape(n, oh, ow, cin)
+                    gx[:, in_h, in_w] += gtap[:, out_h, out_w]
+            if x_slot.grad is None and _GRAD_FAULT_SCALE == 1.0:
+                # Sums into +0 hold no -0, so gx has the bits of _accum's gx + 0.
+                x_slot.grad = gx
+            else:
+                _accum(x_slot, gx)
 
     _record("conv2d", (out,), run)
     return out

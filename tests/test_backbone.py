@@ -124,9 +124,26 @@ def test_parameter_names_are_unique_and_prefixed():
 
 
 def test_weight_init_scale_tracks_fan_in():
-    # he scaling: std ~ sqrt(2 / fan_in) for each kernel.
+    # he scaling: std ~ sqrt(2 / fan_in) for each kernel but conv_b, which
+    # starts at zero.
     net = build_backbone(BASE, seed=1)
-    w = net.stages[2][0].conv_b.weight  # 3x3x128x128, fan_in 1152
+    w = net.stages[2][1].conv_a.weight  # 3x3x128x128, fan_in 1152
     observed = float(w.data.std())
     expected = np.sqrt(2.0 / (3 * 3 * 128))
     assert observed == pytest.approx(expected, rel=0.05)
+    for stage in net.stages:
+        for block in stage:
+            assert not block.conv_b.weight.data.any()
+
+
+def test_zeroed_conv_b_leaves_every_other_draw_unchanged():
+    # conv_b is drawn and then zeroed, so the same seed gives every other
+    # parameter the values it had with conv_b drawn.
+    rng = np.random.default_rng(4)
+    block = ResidualBlock("b", 4, 8, 2, rng)
+    rng = np.random.default_rng(4)
+    conv_a = rng.normal(0.0, np.sqrt(2.0 / 36), size=(3, 3, 4, 8)).astype(np.float32)
+    rng.normal(0.0, np.sqrt(2.0 / 72), size=(3, 3, 8, 8))
+    proj = rng.normal(0.0, np.sqrt(2.0 / 4), size=(1, 1, 4, 8)).astype(np.float32)
+    np.testing.assert_array_equal(block.conv_a.weight.data, conv_a)
+    np.testing.assert_array_equal(block.proj.weight.data, proj)

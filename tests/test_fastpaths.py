@@ -241,6 +241,41 @@ def skip_unless_row_split_keeps_bits(n, h, w, cin, cout, k, stride, dtype):
         pytest.skip("the BLAS kernel in use gives this GEMM split into row blocks other bits than the whole GEMM")
 
 
+def skip_unless_kernel_row_split_keeps_bits(n, h, w, cin, cout, k, stride, dtype):
+    """Skip when conv2d, at the current ``_PATCH_BLOCK``, builds this conv's
+    kernel gradient a kernel row at a time and the BLAS kernel in use gives
+    that split GEMM other bits than the whole one, as seen on seeded operands
+    of the same shapes. OpenBLAS 0.3.31's SkylakeX and SandyBridge kernels
+    keep the bits at every base@224 conv shape; its Haswell and Prescott
+    kernels do not at the stem's (cin 3), nor at some small shapes."""
+    oh, ow, _ = _conv_geometry(h, w, k, k, stride)
+    rows, band = n * oh * ow, k * cin
+    if k == 1 or rows * band < tkfnet.tensor._PATCH_BLOCK:
+        return
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(rows, k * band)).astype(dtype)
+    g = rng.normal(size=(rows, cout)).astype(dtype)
+    split = np.concatenate([np.ascontiguousarray(a[:, i * band : (i + 1) * band]).T @ g for i in range(k)])
+    if not np.array_equal(bits(a.T @ g), bits(split)):
+        pytest.skip("the BLAS kernel in use gives the kernel-gradient GEMM split a kernel row at a time other bits than the whole GEMM")
+
+
+def skip_unless_tap_split_keeps_bits(n, h, w, cin, cout, k, stride, dtype):
+    """Skip unless the BLAS kernel in use gives the input-gradient GEMM,
+    split a tap at a time as conv2d splits it, the bits of the reference's
+    one GEMM, as seen on seeded operands of the same shapes. OpenBLAS
+    0.3.31's Haswell kernel does not at several base conv shapes, and its
+    SkylakeX, SandyBridge and Prescott kernels not at some one-row float32
+    ones."""
+    oh, ow, _ = _conv_geometry(h, w, k, k, stride)
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(n * oh * ow, cout)).astype(dtype)
+    wmat = rng.normal(size=(k * k * cin, cout)).astype(dtype)
+    taps = np.concatenate([g @ wmat[t * cin : (t + 1) * cin].T for t in range(k * k)], axis=1)
+    if not np.array_equal(bits(g @ wmat.T), bits(taps)):
+        pytest.skip("the BLAS kernel in use gives the input-gradient GEMM split a tap at a time other bits than the whole GEMM")
+
+
 def test_sample_blocks_reach_the_floor_and_merge_the_remainder():
     stage0 = 56 * 56 * 3 * 3 * 32  # patch elements of one sample, base@224 stage 0
     assert _sample_blocks(8, stage0) == [(0, 2), (2, 4), (4, 6), (6, 8)]
@@ -263,12 +298,14 @@ def test_conv2d_sample_blocks_match_reference_bits(monkeypatch, n, k, stride, sa
     oh, ow, _ = _conv_geometry(7, 5, k, k, stride)
     monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", (samples - 1) * oh * ow * k * k * 3 + 1)
     skip_unless_row_split_keeps_bits(*shape, dtype)
+    skip_unless_kernel_row_split_keeps_bits(*shape, dtype)
     assert_conv_matches_reference_bits(shape, dtype)
 
 
 def test_stage0_conv_in_four_blocks_matches_reference_bits():
     shape = (8, 56, 56, 32, 32, 3, 1)
     skip_unless_row_split_keeps_bits(*shape, np.float32)
+    skip_unless_kernel_row_split_keeps_bits(*shape, np.float32)
     assert_conv_matches_reference_bits(shape, np.float32)
 
 
@@ -277,6 +314,78 @@ def test_grad_check_passes_through_one_sample_blocks(monkeypatch, stride):
     monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", 1)
     f, inputs = _conv_case(3, (3, 4, 5, 2), stride=stride)(np.random.default_rng(stride), np.float64)
     assert grad_check(f, inputs) <= OP_TOLERANCE
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("extent", [(7, 5), (2, 1)], ids=["7x5", "2x1"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_conv2d_kernel_rows_match_reference_bits(monkeypatch, n, extent, k, stride, dtype):
+    # A floor of one element puts the kernel gradient on its kernel-row path,
+    # and the forward in one-sample blocks. At 2x1 most taps of a 5x5 kernel
+    # read only padding.
+    shape = (n, *extent, 3, 4, k, stride)
+    monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", 1)
+    skip_unless_row_split_keeps_bits(*shape, dtype)
+    skip_unless_kernel_row_split_keeps_bits(*shape, dtype)
+    skip_unless_tap_split_keeps_bits(*shape, dtype)
+    assert_conv_matches_reference_bits(shape, dtype)
+
+
+def test_kernel_rows_start_at_the_floor(monkeypatch):
+    # The kernel-row path starts where each kernel row's columns hold
+    # _PATCH_BLOCK elements; the whole GEMM runs below it.
+    x = Tensor(np.ones((2, 6, 6, 3)), requires_grad=True)
+    w = Tensor(np.ones((3, 3, 3, 2)), requires_grad=True)
+    b = Tensor(np.zeros((1, 1, 1, 2)), requires_grad=True)
+    band = 2 * 6 * 6 * 3 * 3  # patch elements of one kernel row at stride 1
+    seen = []
+    im2col = tkfnet.tensor._im2col
+    monkeypatch.setattr(tkfnet.tensor, "_im2col",
+                        lambda *a, **kw: seen.append(kw.get("kernel_rows")) or im2col(*a, **kw))
+    for floor, expected in ((band + 1, [(0, 3)]), (band, [(0, 1), (1, 2), (2, 3)])):
+        monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", floor)
+        with Tape() as tape:
+            loss = reduce_sum(conv2d(x, w, b))
+        del seen[:]
+        tape.backward(loss)
+        assert seen == expected
+
+
+@pytest.mark.parametrize("k, stride", [(3, 3), (5, 1), (5, 2)])
+def test_grad_check_passes_through_kernel_rows(monkeypatch, k, stride):
+    monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", 1)
+    f, inputs = _conv_case(k, (2, 5, 4, 3), stride=stride)(np.random.default_rng(k + stride), np.float64)
+    assert grad_check(f, inputs) <= OP_TOLERANCE
+
+
+def test_fault_scale_reaches_the_conv_input_gradient(monkeypatch):
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(size=s).astype(np.float32) for s in ((2, 5, 5, 3), (3, 3, 3, 4), (1, 1, 1, 4))]
+    upstream = rng.normal(size=(2, 5, 5, 4)).astype(np.float32)
+    plain = conv_output_and_grads(conv2d, *arrays, upstream, 1)
+    monkeypatch.setattr(tkfnet.tensor, "_GRAD_FAULT_SCALE", 2.0)
+    scaled = conv_output_and_grads(conv2d, *arrays, upstream, 1)
+    # Three writes scale: the sum's gradient, the product's and the conv's.
+    for a, b in zip(plain[1:], scaled[1:]):
+        assert_same_bits(8 * a, b)
+
+
+def test_im2col_copies_a_chunk_of_samples_per_pass(monkeypatch):
+    # small@32's stem at batch 32: 33x33x3 padded samples, 20 to a chunk of
+    # _PAD_CHUNK elements, so 2 passes rather than one per sample.
+    calls = []
+    view = np.lib.stride_tricks.sliding_window_view
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                        lambda *a, **kw: calls.append(a[0].shape[0]) or view(*a, **kw))
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(32, 32, 32, 3)).astype(np.float32))
+    weight = Tensor(rng.normal(size=(3, 3, 3, 8)).astype(np.float32))
+    bias = Tensor(np.zeros((1, 1, 1, 8), dtype=np.float32))
+    y = conv2d(x, weight, bias, stride=2)
+    assert calls == [20, 12]
+    assert_same_bits(y.data, reference_conv2d(x, weight, bias, stride=2).data)
 
 
 def traced_peak(fn):
@@ -305,18 +414,29 @@ def test_conv2d_forward_holds_less_than_the_batch_patch_matrix():
     assert traced_peak(lambda: conv2d(x, weight, bias)) < patch_matrix
 
 
-def test_conv2d_backward_holds_no_padded_copy_of_the_batch():
+def strided_stage0_conv_backward_peak(x_grad):
+    """tracemalloc peak of the backward of base@224's first strided 3x3 conv
+    at batch 8, and the bytes of its whole patch matrix."""
     n, h, w, c = 8, 112, 112, 32
     rng = np.random.default_rng(10)
-    x = Tensor(rng.normal(size=(n, h, w, c)).astype(np.float32), requires_grad=True)
+    x = Tensor(rng.normal(size=(n, h, w, c)).astype(np.float32), requires_grad=x_grad)
     weight = Tensor(rng.normal(size=(3, 3, c, c)).astype(np.float32), requires_grad=True)
     bias = Tensor(np.zeros((1, 1, 1, c), dtype=np.float32), requires_grad=True)
     with Tape() as tape:
         loss = reduce_sum(conv2d(x, weight, bias, stride=2))
-    oh, ow, (pt, pb, pl, pr) = _conv_geometry(h, w, 3, 3, 2)
-    patch_matrix = n * oh * ow * 3 * 3 * c * 4
-    padded_batch = n * (pt + h + pb) * (pl + w + pr) * c * 4
-    assert traced_peak(lambda: tape.backward(loss)) < patch_matrix + padded_batch
+    oh, ow, _ = _conv_geometry(h, w, 3, 3, 2)
+    return traced_peak(lambda: tape.backward(loss)), n * oh * ow * 3 * 3 * c * 4
+
+
+def test_conv2d_backward_holds_no_padded_copy_of_the_batch():
+    # Nor the whole patch matrix, nor a padded copy of the input gradient.
+    peak, patch_matrix = strided_stage0_conv_backward_peak(x_grad=True)
+    assert peak < patch_matrix
+
+
+def test_conv2d_weight_gradient_holds_less_than_the_patch_matrix():
+    peak, patch_matrix = strided_stage0_conv_backward_peak(x_grad=False)
+    assert peak < patch_matrix
 
 
 def test_conv2d_without_tape_matches_reference_bits():

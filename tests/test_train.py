@@ -5,13 +5,14 @@ import pytest
 
 from tkfnet.data import Dataset, Sample, synth_dataset
 from tkfnet.model import TKFNet, model_config
-from tkfnet.tensor import Parameter, ShapeError, Tensor
+from tkfnet.tensor import Parameter, ShapeError, Tape, Tensor
 from tkfnet.train import (
     EpochRecord,
     LrSchedule,
     Metrics,
     MomentumOptimizer,
     EVAL_BATCH,
+    _batch_arrays,
     compute_loss,
     evaluate,
     fit,
@@ -250,3 +251,19 @@ def test_compute_loss_uniform_logits():
     logits = Tensor(np.zeros((2, 1, 1, 7), dtype=np.float64))
     loss = compute_loss(logits, np.array([3, 6]))
     assert loss.item() == pytest.approx(np.log(7.0), abs=1e-12)
+
+
+def test_base_model_at_224_stays_finite_over_four_steps():
+    # The paper's size at the bench's lr: with every conv_b drawn He-normal,
+    # the loss starts near 30 and is no longer finite at step 2.
+    data = synth_dataset(classes=7, per_class=5, size=(48, 48), seed=0)
+    model = TKFNet(model_config("base"), seed=0)
+    opt = MomentumOptimizer(model.parameters(), constant_schedule(0.01), momentum=0.9)
+    for step in range(4):
+        x, y = _batch_arrays(data.samples[step * 8 : (step + 1) * 8], 224, True, np.float32)
+        with Tape() as tape:
+            loss = compute_loss(model(x), y)
+            tape.backward(loss)
+        assert np.isfinite(loss.item()), f"step {step}"
+        assert all(np.isfinite(p.grad).all() for p in model.parameters()), f"step {step}"
+        opt.step()
