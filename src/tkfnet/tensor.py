@@ -45,7 +45,8 @@ elements, and whole, for one product, below that. Either way the samples
 pass a chunk at a time through one zero-padded buffer of at most
 ``_PAD_CHUNK`` elements (or one sample), never through a padded copy of the
 batch. The input gradient is summed tap by tap into an unpadded buffer, which
-then becomes the input's gradient.
+then becomes the input's gradient; each tap's product goes through one
+reused buffer.
 
 A tape replays once. Right after a node has run, or has been skipped because
 none of its outputs received a gradient, backward drops the node's closure,
@@ -53,6 +54,14 @@ its outputs' slots and their gradients, so the arrays the closure kept and
 the intermediate gradients are freed as the walk goes. Afterwards only
 leaves, the tensors that no recorded op produced (inputs and parameters),
 hold a ``.grad``.
+
+Gradients follow one ownership rule: a slot's ``grad`` is always an array
+that the slot alone holds, and it never holds -0. Such an array comes from
+``_accum``'s copy, from a convolution's input gradient or from the loss seed.
+Since a node's output gradients are dropped as soon as the node has run, the
+node may overwrite them: relu masks its output's gradient in place and hands
+it on to its input through ``_accum(..., owned=True)``, with the bits of the
+copy it no longer makes.
 """
 
 import math
@@ -90,7 +99,9 @@ _ERFC_Q = (
 _ERF_BLOCK = 1 << 14
 # Least patch elements per block of conv2d's forward, 4 MiB of float32. Smaller
 # blocks can fall on OpenBLAS's small-matrix GEMM path, whose bits differ from
-# those of the whole batch's GEMM.
+# those of the whole batch's GEMM. That blocks of this size keep the whole
+# GEMM's bits was checked under OpenBLAS 0.3.31's SkylakeX and SandyBridge
+# kernels; under its Haswell and Prescott kernels it does not hold.
 _PATCH_BLOCK = 1 << 20
 # Most elements in _im2col's padded buffer, 256 KiB of float32: it holds as
 # many samples as fit, and at least one.
@@ -277,9 +288,23 @@ def _taping(requires_grad):
     return requires_grad and Tape.active() is not None
 
 
-def _accum(slot, grad):
-    """Add ``grad`` into the gradient of ``slot``, a ``_GradSlot`` or a tensor."""
+def _accum(slot, grad, owned=False):
+    """Add ``grad`` into the gradient of ``slot``, a ``_GradSlot`` or a tensor.
+
+    A slot's ``grad`` is always an array that the slot alone holds, and it
+    never holds -0. With ``owned`` the caller gives ``grad`` up: when the slot
+    has no gradient yet and ``grad`` is a C-contiguous array of the slot's
+    shape and dtype, it is scaled and has 0 added in place, and becomes the
+    slot's gradient. That gives the bits of the copy made otherwise: -0
+    becomes +0, and a NaN stays NaN.
+    """
     if not slot.requires_grad:
+        return
+    if (owned and slot.grad is None and grad.shape == slot.shape
+            and grad.dtype == slot.dtype and grad.flags.c_contiguous):
+        if _GRAD_FAULT_SCALE != 1.0:
+            np.multiply(grad, _GRAD_FAULT_SCALE, out=grad)
+        slot.grad = np.add(grad, 0, out=grad)
         return
     if _GRAD_FAULT_SCALE != 1.0:
         grad = grad * _GRAD_FAULT_SCALE
@@ -441,9 +466,12 @@ def conv2d(x, weight, bias, stride=1):
             # One (cin, cout) slice of the kernel per tap: the same products
             # and sums as the full im2col gradient, without its kh*kw-fold
             # copy of the input. Each tap adds only into the input pixels it
-            # reads, so no padded buffer is needed.
+            # reads, so no padded buffer is needed, and every tap's product
+            # goes through one reused buffer.
             pt, _, pl, _ = pads
             gx = np.zeros((n, h, w, cin), dtype=x_slot.dtype)
+            tap = np.empty((n * oh * ow, cin), dtype=np.result_type(g2, w_data))
+            gtap = tap.reshape(n, oh, ow, cin)
             for i in range(kh):
                 span_h = _tap_span(i, pt, h, oh, stride)
                 for j in range(kw):
@@ -451,13 +479,9 @@ def conv2d(x, weight, bias, stride=1):
                     if span_h is None or span_w is None:
                         continue
                     (out_h, in_h), (out_w, in_w) = span_h, span_w
-                    gtap = (g2 @ w_data[i, j].T).reshape(n, oh, ow, cin)
+                    np.matmul(g2, w_data[i, j].T, out=tap)
                     gx[:, in_h, in_w] += gtap[:, out_h, out_w]
-            if x_slot.grad is None and _GRAD_FAULT_SCALE == 1.0:
-                # Sums into +0 hold no -0, so gx has the bits of _accum's gx + 0.
-                x_slot.grad = gx
-            else:
-                _accum(x_slot, gx)
+            _accum(x_slot, gx, owned=True)
 
     _record("conv2d", (out,), run)
     return out
@@ -543,8 +567,12 @@ def activation(kind, x):
     if kind == "relu":
         def run():
             # A bool mask multiplies as 1.0 or 0.0, so the products are
-            # those of a float mask without keeping one on the tape.
-            _accum(x_slot, out_slot.grad * (y > 0))
+            # those of a float mask without keeping one on the tape. The
+            # output's gradient is dropped once this node has run, so it is
+            # overwritten and handed on.
+            g = out_slot.grad
+            np.multiply(g, y > 0, out=g)
+            _accum(x_slot, g, owned=True)
     else:
         if kind == "sigmoid":
             local = y * (1.0 - y)

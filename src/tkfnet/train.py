@@ -9,8 +9,10 @@ from .data import preprocess
 from .tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 
 # Samples per evaluation forward, so evaluation needs no more memory than a
-# batch-8 training step. A row's logits have the same bits in any batch of 8
-# or more; in a smaller one, such as a trailing batch, they may not.
+# batch-8 training step. Under OpenBLAS 0.3.31's SkylakeX and SandyBridge
+# kernels a row's logits have the same bits in any batch of 8 or more; in a
+# smaller one, such as a trailing batch, they may not. Under its Haswell and
+# Prescott kernels they may differ between batches of 8 or more too.
 EVAL_BATCH = 8
 
 

@@ -27,6 +27,7 @@ from tkfnet.tensor import (
     _record,
     _sample_blocks,
     _sorted_sum,
+    _tap_span,
     _taping,
     activation,
     conv2d,
@@ -372,6 +373,23 @@ def test_fault_scale_reaches_the_conv_input_gradient(monkeypatch):
         assert_same_bits(8 * a, b)
 
 
+def test_fault_scale_reaches_the_relu_input_gradient(monkeypatch):
+    rng = np.random.default_rng(13)
+    data, upstream = (rng.normal(size=(2, 5, 5, 3)).astype(np.float32) for _ in range(2))
+
+    def relu_input_grad():
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            tape.backward(reduce_sum(hadamard(activation("relu", x), Tensor(upstream))))
+        return x.grad
+
+    plain = relu_input_grad()
+    monkeypatch.setattr(tkfnet.tensor, "_GRAD_FAULT_SCALE", 2.0)
+    # Three writes scale: the sum's gradient, the product's and relu's, the
+    # last in the relu output's own gradient, which backward hands on.
+    assert_same_bits(8 * plain, relu_input_grad())
+
+
 def test_im2col_copies_a_chunk_of_samples_per_pass(monkeypatch):
     # small@32's stem at batch 32: 33x33x3 padded samples, 20 to a chunk of
     # _PAD_CHUNK elements, so 2 passes rather than one per sample.
@@ -439,6 +457,29 @@ def test_conv2d_weight_gradient_holds_less_than_the_patch_matrix():
     assert peak < patch_matrix
 
 
+def test_conv2d_input_gradient_holds_one_tap_product():
+    # What the backward must hold: the conv output's gradient, which the sum
+    # writes, the input gradient and one tap's (n * oh * ow, cin) product. A
+    # second live tap product would pass the limit.
+    peak, _ = strided_stage0_conv_backward_peak(x_grad=True)
+    n, h, w, c, oh, ow = 8, 112, 112, 32, 56, 56
+    out_grad = tap = n * oh * ow * c * 4
+    x_grad = n * h * w * c * 4
+    assert peak < out_grad + x_grad + tap + tap // 2
+
+
+def test_relu_backward_holds_only_its_mask():
+    # The stem relu of base@224 at batch 8. Its backward overwrites the
+    # output's gradient, so beyond the memory live when it starts it holds
+    # the bool mask, a quarter of one float32 array of this shape.
+    shape = (8, 112, 112, 32)
+    x = Tensor(np.random.default_rng(14).normal(size=shape).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        out = activation("relu", x)
+    out.grad = np.ones(shape, dtype=np.float32)
+    assert traced_peak(tape.nodes[0].run) < out.grad.nbytes
+
+
 def test_conv2d_without_tape_matches_reference_bits():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(2, 9, 9, 8)).astype(np.float32))
@@ -482,17 +523,56 @@ SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5, 1e-40]
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_relu_backward_matches_float_mask_bits(dtype):
     # Every pairing of a special input with a special upstream gradient,
-    # including inf * 0 = NaN and products that come out as -0.
+    # including inf * 0 = NaN and products that come out as -0. The expected
+    # values are taken first: backward overwrites the output's gradient.
     d, g = (a.reshape(1, 8, 8, 1).astype(dtype) for a in np.meshgrid(SPECIALS, SPECIALS, indexing="ij"))
     x = Tensor(d, requires_grad=True)
     with Tape() as tape:
         out = activation("relu", x)
-    out.grad = g
+    out.grad = g.copy()
     expected = np.zeros_like(d)
     with np.errstate(invalid="ignore"):
-        tape.nodes[0].run()
         expected += g * (d > 0).astype(dtype)
+        tape.nodes[0].run()
     assert_same_bits(x.grad, expected, "relu input gradient")
+
+
+def out_of_place_conv_input_grad(g, weight, x_shape, stride):
+    """conv2d's input gradient with a fresh array per tap, summed as conv2d
+    sums it and then copied as ``+ 0``. Where two NaNs meet, the sign of the
+    sum depends on numpy's loop for the operands' strides, so the reference
+    adds the same slices."""
+    n, h, w, cin = x_shape
+    kh, kw, _, cout = weight.shape
+    oh, ow, (pt, _, pl, _) = _conv_geometry(h, w, kh, kw, stride)
+    g2 = g.reshape(n * oh * ow, cout)
+    gx = np.zeros(x_shape, dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            spans = _tap_span(i, pt, h, oh, stride), _tap_span(j, pl, w, ow, stride)
+            if None not in spans:
+                (out_h, in_h), (out_w, in_w) = spans
+                gx[:, in_h, in_w] += (g2 @ weight[i, j].T).reshape(n, oh, ow, cin)[:, out_h, out_w]
+    return gx + 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, stride", [(1, 1), (3, 1), (3, 2)])
+def test_conv2d_input_gradient_matches_out_of_place_bits(k, stride, dtype):
+    # An upstream gradient full of -0, infinities and NaN, written straight
+    # into the output's slot.
+    rng = np.random.default_rng(k * 10 + stride)
+    x = Tensor(rng.normal(size=(2, 5, 4, 3)).astype(dtype), requires_grad=True)
+    weight = Tensor(rng.normal(size=(k, k, 3, 4)).astype(dtype), requires_grad=True)
+    bias = Tensor(np.zeros((1, 1, 1, 4), dtype=dtype), requires_grad=True)
+    with Tape() as tape:
+        out = conv2d(x, weight, bias, stride=stride)
+    g = rng.choice(np.array(SPECIALS), size=out.shape).astype(dtype)
+    out.grad = g.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = out_of_place_conv_input_grad(g, weight.data, x.shape, stride)
+        tape.nodes[0].run()
+    assert_same_bits(x.grad, expected, "conv2d input gradient")
 
 
 def closure_arrays(node):
@@ -573,6 +653,39 @@ def test_accum_matches_zero_fill_bits(dtype, grad_dtype, layout):
         assert x.grad.flags.c_contiguous and not np.shares_memory(x.grad, first)
         _accum(x, second)
         assert_same_bits(x.grad, zero_fill_accum(x.shape, dtype, [first, second]), "sum")
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_owned_accum_adopts_the_gradient_with_the_bits_of_a_copy(monkeypatch, dtype, scale):
+    monkeypatch.setattr(tkfnet.tensor, "_GRAD_FAULT_SCALE", scale)
+    grad, _ = special_grads(dtype, "contiguous")
+    payload = bits(grad).reshape(-1)[-1]
+    x = Tensor(np.zeros(grad.shape, dtype=dtype), requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        expected = np.add(grad * scale, 0)
+        _accum(x, grad, owned=True)
+    assert x.grad is grad
+    assert_same_bits(x.grad, expected, "adopted gradient")
+    flat = x.grad.reshape(-1)
+    assert not np.signbit(flat[1]) and np.isnan(flat[4]) and bits(flat)[-1] == payload
+
+
+@pytest.mark.parametrize("case", ["second write", "other dtype", "cropped"])
+def test_owned_accum_copies_what_it_cannot_adopt(case):
+    grad, _ = special_grads(np.float64 if case == "other dtype" else np.float32,
+                            "cropped" if case == "cropped" else "contiguous")
+    x = Tensor(np.zeros(grad.shape, dtype=np.float32), requires_grad=True)
+    if case == "second write":
+        _accum(x, np.ones_like(grad))
+    given = [g for g in (x.grad, grad) if g is not None]
+    expected = zero_fill_accum(x.shape, np.float32, given)
+    untouched = grad.copy()
+    with np.errstate(invalid="ignore"):
+        _accum(x, grad, owned=True)
+    assert not np.shares_memory(x.grad, grad)
+    assert_same_bits(grad, untouched, "given gradient")
+    assert_same_bits(x.grad, expected, "accumulated gradient")
 
 
 @pytest.mark.parametrize("shape", [(2, 5, 6, 4), (3, 1, 7, 2)])
