@@ -129,6 +129,8 @@ def load_image(path):
         raise DataError(f"{path}: {exc}") from exc
     if arr.ndim != 4 or arr.shape[0] != 1 or arr.shape[3] != 3:
         raise DataError(f"{path}: raw tensor must be (1, h, w, 3), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{path}: raw tensor holds a non-finite value")
     if arr.min() < -1e-6 or arr.max() > 1.0 + 1e-6:
         raise DataError(
             f"{path}: raw tensor values must lie in [0, 1], got "

@@ -26,7 +26,6 @@ class DCIF:
             raise ValueError(f"classes must be positive, got {classes}")
         self.channels = channels
         self.classes = classes
-        self.reduction = reduction
         self.attn_conv = Conv("dcif.attn_conv", 1, 1, 2 * channels, channels, rng, dtype)
         hidden = channels // reduction
         self.fc1 = Conv("dcif.fc1", 1, 1, channels, hidden, rng, dtype)

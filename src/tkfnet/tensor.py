@@ -41,12 +41,11 @@ block of whole samples at a time, each block at least ``_PATCH_BLOCK``
 elements, so it never holds the whole batch's matrix. Backward rebuilds the
 matrix for the kernel gradient a kernel row at a time, through one reused
 buffer, when each kernel row's columns hold at least ``_PATCH_BLOCK``
-elements, and whole, for one product, below that. Either way the samples
-pass a chunk at a time through one zero-padded buffer of at most
-``_PAD_CHUNK`` elements (or one sample), never through a padded copy of the
-batch. The input gradient is summed tap by tap into an unpadded buffer, which
-then becomes the input's gradient; each tap's product goes through one
-reused buffer.
+elements, and whole, for one product, below that. Either way the samples are
+padded one of the forward's blocks at a time in one reused buffer, never in a
+padded copy of the batch. The input gradient is summed tap by tap into an
+unpadded buffer, which then becomes the input's gradient; each tap's product
+goes through one reused buffer.
 
 A tape replays once. Right after a node has run, or has been skipped because
 none of its outputs received a gradient, backward drops the node's closure,
@@ -65,7 +64,6 @@ copy it no longer makes.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -103,15 +101,6 @@ _ERF_BLOCK = 1 << 14
 # GEMM's bits was checked under OpenBLAS 0.3.31's SkylakeX and SandyBridge
 # kernels; under its Haswell and Prescott kernels it does not hold.
 _PATCH_BLOCK = 1 << 20
-# Most elements in _im2col's padded buffer, 256 KiB of float32: it holds as
-# many samples as fit, and at least one.
-_PAD_CHUNK = 1 << 16
-
-# Fault-injection hook for verification tooling: every gradient written by a
-# backward pass is scaled by this factor. Must stay at 1.0 in normal use; the
-# gradcheck negative-control test flips it to prove the oracle catches a
-# wrong backward.
-_GRAD_FAULT_SCALE = 1.0
 
 
 class ShapeError(ValueError):
@@ -223,36 +212,27 @@ class Tape:
     ``backward`` replays the record once, in exact reverse execution order,
     and releases each node as soon as it has run: its closure, its outputs
     and their gradients. ``nodes`` keeps each node's ``op`` name, so the
-    record of which ops ran outlives the replay. A tape is single-threaded;
-    independent tapes on different threads do not interact.
+    record of which ops ran outlives the replay.
     """
 
-    _local = threading.local()
+    # The entered tapes, innermost last.
+    _stack = []
 
     def __init__(self):
         self.nodes = []
         self.replayed = False
 
     def __enter__(self):
-        self._stack().append(self)
+        Tape._stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._stack().pop()
+        Tape._stack.pop()
         return False
 
     @classmethod
-    def _stack(cls):
-        stack = getattr(cls._local, "stack", None)
-        if stack is None:
-            stack = []
-            cls._local.stack = stack
-        return stack
-
-    @classmethod
     def active(cls):
-        stack = cls._stack()
-        return stack[-1] if stack else None
+        return cls._stack[-1] if cls._stack else None
 
     def backward(self, loss):
         """Seed d(loss)/d(loss) = 1 and accumulate gradients into the leaves.
@@ -294,20 +274,16 @@ def _accum(slot, grad, owned=False):
     A slot's ``grad`` is always an array that the slot alone holds, and it
     never holds -0. With ``owned`` the caller gives ``grad`` up: when the slot
     has no gradient yet and ``grad`` is a C-contiguous array of the slot's
-    shape and dtype, it is scaled and has 0 added in place, and becomes the
-    slot's gradient. That gives the bits of the copy made otherwise: -0
+    shape and dtype, it has 0 added in place and becomes the slot's
+    gradient. That gives the bits of the copy made otherwise: -0
     becomes +0, and a NaN stays NaN.
     """
     if not slot.requires_grad:
         return
     if (owned and slot.grad is None and grad.shape == slot.shape
             and grad.dtype == slot.dtype and grad.flags.c_contiguous):
-        if _GRAD_FAULT_SCALE != 1.0:
-            np.multiply(grad, _GRAD_FAULT_SCALE, out=grad)
         slot.grad = np.add(grad, 0, out=grad)
         return
-    if _GRAD_FAULT_SCALE != 1.0:
-        grad = grad * _GRAD_FAULT_SCALE
     if slot.grad is None:
         # g + 0 in the slot's dtype, in one pass: the bits of adding g to a
         # zero-filled buffer, -0 becoming +0 included.
@@ -340,10 +316,10 @@ def _im2col(data, kh, kw, stride, pads, oh, ow, out=None, kernel_rows=None):
     ``kernel_rows = (r0, r1)`` only the columns of taps in kernel rows r0 to
     r1 - 1 are written, an (n * oh * ow, (r1 - r0) * kw * cin) matrix. A 1x1
     stride-1 kernel's matrix is the input itself, as a view. Otherwise the
-    windows are copied straight into the matrix, from the input itself or,
-    when the kernel pads, a chunk of samples at a time from one reused padded
-    buffer of at most ``_PAD_CHUNK`` elements (or one sample), whose zero
-    border is written once.
+    windows are copied straight into the matrix one block of
+    ``_sample_blocks`` at a time, from the input itself or, when the kernel
+    pads, from one reused padded buffer sized for the largest block, whose
+    zero border is written once.
     """
     n, h, w, cin = data.shape
     if (kh, kw, stride) == (1, 1, 1):
@@ -353,18 +329,17 @@ def _im2col(data, kh, kw, stride, pads, oh, ow, out=None, kernel_rows=None):
         out = np.empty((n * oh * ow, (r1 - r0) * kw * cin), dtype=data.dtype)
     dst = out.reshape(n, oh, ow, r1 - r0, kw, cin)
     pt, pb, pl, pr = pads
-    chunk, xp = n, None
+    blocks = _sample_blocks(n, oh * ow * kh * kw * cin)
+    xp = None
     if any(pads):
-        hp, wp = pt + h + pb, pl + w + pr
-        chunk = max(1, min(n, _PAD_CHUNK // (hp * wp * cin)))
-        xp = np.zeros((chunk, hp, wp, cin), dtype=data.dtype)
-    for b in range(0, n, chunk):
-        src = data[b : b + chunk]
+        xp = np.zeros((n - blocks[-1][0], pt + h + pb, pl + w + pr, cin), dtype=data.dtype)
+    for start, stop in blocks:
+        src = data[start:stop]
         if xp is not None:
-            xp[: len(src), pt : pt + h, pl : pl + w] = src
-            src = xp[: len(src)]
+            xp[: stop - start, pt : pt + h, pl : pl + w] = src
+            src = xp[: stop - start]
         windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(1, 2))
-        dst[b : b + chunk] = windows[:, ::stride, ::stride, :, r0:r1].transpose(0, 1, 2, 4, 5, 3)
+        dst[start:stop] = windows[:, ::stride, ::stride, :, r0:r1].transpose(0, 1, 2, 4, 5, 3)
     return out
 
 

@@ -83,13 +83,7 @@ class MomentumOptimizer:
 
 
 def _batch_arrays(samples, input_size, normalize, dtype):
-    if input_size is None:
-        target = None
-    elif isinstance(input_size, int):
-        target = (input_size, input_size)
-    else:
-        target = tuple(input_size)
-    images = [preprocess(s, target=target, normalize=normalize) for s in samples]
+    images = [preprocess(s, target=input_size, normalize=normalize) for s in samples]
     x = Tensor(np.concatenate([t.data for t in images], axis=0).astype(dtype, copy=False))
     y = np.array([s.label for s in samples], dtype=np.int64)
     return x, y

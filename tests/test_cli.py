@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import tkfnet.cli
-import tkfnet.tensor
+from helpers import scale_gradients
 from tkfnet.cli import main
 from tkfnet.data import load_image_folder
-from tkfnet.weights import read_weights, serialize_weights, write_weights
+from tkfnet.weights import read_weights, serialize_weights, write_tensor, write_weights
 
 TRAIN_CONFIG = """\
 # desk-scale training setup
@@ -385,6 +385,17 @@ class TestInfer:
         assert code == 3
         assert capsys.readouterr().err.startswith("ERR:IO:")
 
+    def test_nan_pixel_is_io_error(self, trained, tmp_path, capsys):
+        pixels = np.full((1, 16, 16, 3), 0.5, dtype=np.float32)
+        pixels[0, 3, 4, 1] = np.nan
+        image = tmp_path / "nan.rt32"
+        write_tensor(image, pixels)
+        code = main(["infer", str(trained / "weights.tkfw"), str(image)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("ERR:IO:") and str(image) in captured.err
+        assert captured.out == ""
+
 
     def test_overflowing_dims_in_weights_is_io_error(self, synth_tree, tmp_path, capsys):
         # Four dims of 65536 hold 2**64 elements, which wraps to 0 in int64.
@@ -619,7 +630,7 @@ class TestGradcheckCommand:
         assert "gradient check passed" in out
 
     def test_corrupted_backward_fails_fast(self, monkeypatch, capsys):
-        monkeypatch.setattr(tkfnet.tensor, "_GRAD_FAULT_SCALE", 1.5)
+        scale_gradients(monkeypatch, 1.5)
         code = main(["gradcheck"])
         assert code == 1
         captured = capsys.readouterr()

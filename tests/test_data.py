@@ -110,6 +110,16 @@ class TestLoadImage:
         with pytest.raises(DataError, match=r"\[0, 1\]"):
             load_image(path)
 
+    def test_raw_tensor_nan_rejected(self, tmp_path):
+        # NaN fails both range comparisons, so the range check alone let it
+        # through.
+        arr = np.full((1, 2, 2, 3), 0.5, dtype=np.float32)
+        arr[0, 1, 0, 2] = np.nan
+        path = tmp_path / "nan.rt32"
+        write_tensor(path, arr)
+        with pytest.raises(DataError, match=r"nan\.rt32: .*non-finite"):
+            load_image(path)
+
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(DataError, match="nope.ppm"):
             load_image(tmp_path / "nope.ppm")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tkfnet.tensor
+from helpers import scale_gradients
 from tkfnet.gradcheck import (
     GradCheckError,
     MODULE_TOLERANCE,
@@ -38,9 +39,9 @@ class TestGradCheck:
         assert grad_check(f, [x]) <= 1e-6
 
     def test_flags_scaled_gradients(self, monkeypatch):
-        # The fault hook multiplies every accumulated gradient, which a
-        # central difference immediately exposes.
-        monkeypatch.setattr(tkfnet.tensor, "_GRAD_FAULT_SCALE", 1.5)
+        # Every accumulated gradient is multiplied, which a central
+        # difference immediately exposes.
+        scale_gradients(monkeypatch, 1.5)
         f, x = quadratic_case()
         assert grad_check(f, [x]) > 0.3
 
@@ -133,6 +134,20 @@ class TestOpSweep:
         for name, err in results.items():
             assert err <= OP_TOLERANCE, f"{name}: {err}"
 
+    @pytest.mark.parametrize("name", list(OP_CASES))
+    def test_every_op_backward_writes_through_accum(self, monkeypatch, name):
+        # Scaling what _accum receives breaks every case's check. The ops
+        # around a probed op scale too, so each input's own gradient must
+        # also be seen passing through _accum.
+        f, inputs = OP_CASES[name](np.random.default_rng(0), np.float64)
+        written = []
+        accum = tkfnet.tensor._accum
+        monkeypatch.setattr(tkfnet.tensor, "_accum",
+                            lambda slot, grad, owned=False: written.append(slot) or accum(slot, grad, owned))
+        scale_gradients(monkeypatch, 1.5)
+        assert grad_check(f, inputs) > OP_TOLERANCE
+        assert all(any(slot is x._slot for slot in written) for x in inputs)
+
     def test_case_builders_are_deterministic(self):
         for builder in OP_CASES.values():
             rng1 = np.random.default_rng(7)
@@ -175,7 +190,7 @@ class TestSuite:
         ]
 
     def test_fail_fast_stops_at_first_offender(self, monkeypatch):
-        monkeypatch.setattr(tkfnet.tensor, "_GRAD_FAULT_SCALE", 1.5)
+        scale_gradients(monkeypatch, 1.5)
         results = run_suite(op_seeds=1, model_samples=5, fail_fast=True)
         assert list(results) == ["tensor-core"]
         err, tol = results["tensor-core"]

@@ -460,6 +460,20 @@ class TestTapeSemantics:
         add(x, x)
         assert tape.nodes == []
 
+    def test_nested_tapes_record_on_the_innermost(self):
+        x = t(np.ones((1, 1, 1, 1)), requires_grad=True)
+        assert Tape.active() is None
+        with Tape() as outer:
+            add(x, x)
+            with Tape() as inner:
+                assert Tape.active() is inner
+                reduce_sum(x)
+            assert Tape.active() is outer
+            activation("relu", x)
+        assert Tape.active() is None
+        assert [node.op for node in outer.nodes] == ["add", "activation[relu]"]
+        assert [node.op for node in inner.nodes] == ["reduce_sum"]
+
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(22)
         vals = rng.normal(size=(2, 6, 6, 3)).astype(np.float32)

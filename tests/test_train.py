@@ -260,7 +260,7 @@ def test_base_model_at_224_stays_finite_over_four_steps():
     model = TKFNet(model_config("base"), seed=0)
     opt = MomentumOptimizer(model.parameters(), constant_schedule(0.01), momentum=0.9)
     for step in range(4):
-        x, y = _batch_arrays(data.samples[step * 8 : (step + 1) * 8], 224, True, np.float32)
+        x, y = _batch_arrays(data.samples[step * 8 : (step + 1) * 8], (224, 224), True, np.float32)
         with Tape() as tape:
             loss = compute_loss(model(x), y)
             tape.backward(loss)
