@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Conv
+from .layers import Conv, Module
 from .tensor import ShapeError, activation, add
 
 STEM_STRIDE = 2
@@ -48,7 +48,7 @@ class BackboneConfig:
         return STEM_STRIDE * math.prod(self.stride_per_stage)
 
 
-class ResidualBlock:
+class ResidualBlock(Module):
     """conv -> relu -> conv residual branch plus an identity or projected
     shortcut; a 1x1 projection appears only when shape or stride changes."""
 
@@ -73,14 +73,8 @@ class ResidualBlock:
         shortcut = self.proj(x, stride=self.stride) if self.proj is not None else x
         return activation("relu", add(branch, shortcut))
 
-    def parameters(self):
-        params = self.conv_a.parameters() + self.conv_b.parameters()
-        if self.proj is not None:
-            params += self.proj.parameters()
-        return params
 
-
-class Backbone:
+class Backbone(Module):
     """Stem convolution followed by configured residual stages."""
 
     def __init__(self, config, rng, dtype=np.float32):
@@ -116,13 +110,6 @@ class Backbone:
             for block in stage:
                 x = block(x)
         return x
-
-    def parameters(self):
-        params = self.stem.parameters()
-        for stage in self.stages:
-            for block in stage:
-                params += block.parameters()
-        return params
 
 
 def build_backbone(config, seed, dtype=np.float32):

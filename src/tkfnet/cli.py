@@ -549,7 +549,8 @@ def cmd_synth(args):
         counters[name] = index + 1
         class_dir = out_dir / name
         class_dir.mkdir(parents=True, exist_ok=True)
-        (class_dir / f"{index:05d}.ppm").write_bytes(encode_ppm(sample.image))
+        ppm = class_dir / f"{index:05d}.ppm"
+        _write_file(ppm, lambda tmp: tmp.write_bytes(encode_ppm(sample.image)))
         written += 1
 
     cfg = replace(cfg, classes=classes)

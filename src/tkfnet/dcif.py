@@ -9,11 +9,11 @@ pooled 1x1 map.
 
 import numpy as np
 
-from .layers import Conv
+from .layers import Conv, Module
 from .tensor import activation, concat_channels, global_pool, hadamard
 
 
-class DCIF:
+class DCIF(Module):
     """Dual-pool gate and classifier over (n, h, w, c) features."""
 
     def __init__(self, channels, classes, rng, reduction=4, dtype=np.float32):
@@ -55,10 +55,3 @@ class DCIF:
     def __call__(self, features):
         gated, gate = self.attention(features)
         return self.logits(self.encode(gated)), gate
-
-    def parameters(self):
-        params = self.attn_conv.parameters()
-        params += self.fc1.parameters()
-        params += self.fc2.parameters()
-        params += self.head.parameters()
-        return params

@@ -6,6 +6,7 @@ import numpy as np
 
 from .backbone import Backbone, BackboneConfig
 from .dcif import DCIF
+from .layers import Module
 from .tafe import TAFE
 from .tensor import ShapeError
 
@@ -42,7 +43,7 @@ def model_config(name, classes=7):
     return ModelConfig(PRESETS[name], classes)
 
 
-class TKFNet:
+class TKFNet(Module):
     """Backbone, texture extractor and gated classifier in sequence."""
 
     def __init__(self, config, seed=0, dtype=np.float32, state=None):
@@ -52,9 +53,8 @@ class TKFNet:
         rng = np.random.default_rng(seed) if state is None else None
         self.config = config
         self.backbone = Backbone(config.backbone, rng, dtype)
-        width = self.backbone.out_channels
-        self.tafe = TAFE(width, rng, dtype)
-        self.dcif = DCIF(2 * width, config.classes, rng, dtype=dtype)
+        self.tafe = TAFE(self.backbone.out_channels, rng, dtype)
+        self.dcif = DCIF(self.tafe.out_channels, config.classes, rng, dtype=dtype)
         if state is not None:
             self.load_state(state)
 
@@ -67,9 +67,6 @@ class TKFNet:
     def __call__(self, images):
         logits, _gate = self.forward_with_attention(images)
         return logits
-
-    def parameters(self):
-        return self.backbone.parameters() + self.tafe.parameters() + self.dcif.parameters()
 
     def parameter_dict(self):
         params = {}

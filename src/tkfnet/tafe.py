@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Conv
+from .layers import Conv, Module
 from .tensor import (
     Parameter,
     Tensor,
@@ -33,7 +33,7 @@ class TextureDescriptor:
     fused: Tensor
 
 
-class TAFE:
+class TAFE(Module):
     """Texture-aware extractor block over (n, h, w, c) features."""
 
     def __init__(self, channels, rng, dtype=np.float32):
@@ -69,12 +69,3 @@ class TAFE:
         textured = hadamard(first, gate)
         context = self.ctx_conv1b(activation("gelu", self.ctx_conv1a(self.ctx_conv3(second))))
         return concat_channels(textured, context)
-
-    def parameters(self):
-        params = self.branch1.parameters() + self.branch2.parameters()
-        params += [self.alpha, self.beta]
-        params += self.mod_conv.parameters()
-        params += self.ctx_conv3.parameters()
-        params += self.ctx_conv1a.parameters()
-        params += self.ctx_conv1b.parameters()
-        return params

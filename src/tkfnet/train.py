@@ -82,11 +82,18 @@ class MomentumOptimizer:
         self.step_count += 1
 
 
-def _batch_arrays(samples, input_size, normalize, dtype):
-    images = [preprocess(s, target=input_size, normalize=normalize) for s in samples]
-    x = Tensor(np.concatenate([t.data for t in images], axis=0).astype(dtype, copy=False))
+def _batch_arrays(samples, input_size, normalize):
+    """Images and labels; each image goes into the batch array as it is made."""
+    x = None
+    for i, sample in enumerate(samples):
+        image = preprocess(sample, target=input_size, normalize=normalize).data
+        if x is None:
+            x = np.empty((len(samples),) + image.shape[1:], dtype=image.dtype)
+        if image.shape != (1,) + x.shape[1:]:
+            raise ShapeError(f"sample {i} preprocesses to {image.shape}, not {(1,) + x.shape[1:]}")
+        x[i] = image[0]
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
+    return Tensor(x), y
 
 
 def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=None, normalize=True):
@@ -100,12 +107,11 @@ def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=N
         raise ValueError("cannot train on an empty dataset")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    dtype = model.parameters()[0].dtype if hasattr(model, "parameters") else np.float32
     order = np.random.default_rng([seed, epoch]).permutation(n)
     total = 0.0
     for start in range(0, n, batch_size):
         batch = [dataset.samples[i] for i in order[start : start + batch_size]]
-        x, y = _batch_arrays(batch, input_size, normalize, dtype)
+        x, y = _batch_arrays(batch, input_size, normalize)
         with Tape() as tape:
             loss = compute_loss(model(x), y)
             tape.backward(loss)
@@ -165,10 +171,9 @@ def evaluate(model, dataset, *, input_size=None, normalize=True):
         raise ValueError("cannot evaluate an empty dataset")
     q = len(dataset.class_names)
     confusion = np.zeros((q, q), dtype=np.int64)
-    dtype = model.parameters()[0].dtype if hasattr(model, "parameters") else np.float32
     for start in range(0, n, EVAL_BATCH):
         batch = dataset.samples[start : start + EVAL_BATCH]
-        x, y = _batch_arrays(batch, input_size, normalize, dtype)
+        x, y = _batch_arrays(batch, input_size, normalize)
         logits = model(x)
         if logits.shape[3] != q:
             raise ShapeError(

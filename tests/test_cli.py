@@ -13,7 +13,7 @@ import pytest
 import tkfnet.cli
 from helpers import scale_gradients
 from tkfnet.cli import main
-from tkfnet.data import load_image_folder
+from tkfnet.data import decode_ppm, load_image_folder
 from tkfnet.weights import read_weights, serialize_weights, write_tensor, write_weights
 
 TRAIN_CONFIG = """\
@@ -326,6 +326,29 @@ class TestSynth:
         for path in sorted(synth_tree.rglob("*.ppm")):
             twin = again / path.relative_to(synth_tree)
             assert twin.read_bytes() == path.read_bytes()
+
+    def test_failed_write_leaves_only_whole_images(self, tmp_path, monkeypatch, capsys):
+        # The third image's write stores half its bytes, then fails.
+        write_bytes = Path.write_bytes
+        calls = []
+
+        def half_then_fail(path, data):
+            calls.append(path)
+            if len(calls) == 3:
+                write_bytes(path, data[: len(data) // 2])
+                raise OSError("no space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        out = tmp_path / "t"
+        assert main(["synth", "3x2x16", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("ERR:IO:")
+        monkeypatch.undo()
+        images = sorted(out.rglob("*.ppm"))
+        for path in images:
+            assert decode_ppm(path.read_bytes()).shape == (1, 16, 16, 3)
+        assert len(images) == 2
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
     def test_spec_with_prefix_accepted(self, tmp_path, capsys):
         assert main(["synth", "synth:2x1x8", "--out", str(tmp_path / "t")]) == 0

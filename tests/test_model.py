@@ -1,6 +1,7 @@
 """Full-network assembly: presets, shape flow and the attention surface."""
 
 import gc
+import hashlib
 import weakref
 from unittest import mock
 
@@ -9,9 +10,12 @@ import pytest
 
 from tkfnet import tensor
 from tkfnet.gradcheck import OP_CASES
+from tkfnet.layers import Conv, he_normal
 from tkfnet.model import ModelConfig, TKFNet, model_config
-from tkfnet.tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
+from tkfnet.tafe import TAFE
+from tkfnet.tensor import Parameter, ShapeError, Tape, Tensor, softmax_cross_entropy
 from tkfnet.train import compute_loss
+from tkfnet.weights import read_weights, write_weights
 
 
 def test_preset_lookup():
@@ -59,6 +63,65 @@ def test_parameter_names_unique():
     names = [p.name for p in model.parameters()]
     assert len(names) == len(set(names))
     assert set(model.parameter_dict()) == set(names)
+
+
+# The record order of the small preset's weights file.
+SMALL_PARAMETER_NAMES = [
+    "backbone.stem.weight", "backbone.stem.bias",
+    "backbone.stage0.block0.conv_a.weight", "backbone.stage0.block0.conv_a.bias",
+    "backbone.stage0.block0.conv_b.weight", "backbone.stage0.block0.conv_b.bias",
+    "backbone.stage0.block0.proj.weight", "backbone.stage0.block0.proj.bias",
+    "backbone.stage1.block0.conv_a.weight", "backbone.stage1.block0.conv_a.bias",
+    "backbone.stage1.block0.conv_b.weight", "backbone.stage1.block0.conv_b.bias",
+    "backbone.stage1.block0.proj.weight", "backbone.stage1.block0.proj.bias",
+    "tafe.branch1.weight", "tafe.branch1.bias", "tafe.branch2.weight", "tafe.branch2.bias",
+    "tafe.alpha", "tafe.beta",
+    "tafe.mod_conv.weight", "tafe.mod_conv.bias", "tafe.ctx_conv3.weight", "tafe.ctx_conv3.bias",
+    "tafe.ctx_conv1a.weight", "tafe.ctx_conv1a.bias", "tafe.ctx_conv1b.weight", "tafe.ctx_conv1b.bias",
+    "dcif.attn_conv.weight", "dcif.attn_conv.bias", "dcif.fc1.weight", "dcif.fc1.bias",
+    "dcif.fc2.weight", "dcif.fc2.bias", "dcif.head.weight", "dcif.head.bias",
+]
+# sha256 of the base preset's 54 parameter names, joined by newlines.
+BASE_PARAMETER_NAMES_SHA256 = "6ad5a4ce870f2c8de9a92405f5dd1a80cb74cad0fc2ff073e231dc7d9c197695"
+
+
+def test_parameter_order_is_pinned():
+    small = TKFNet(model_config("small"), seed=0)
+    names = [p.name for p in small.parameters()]
+    assert names == SMALL_PARAMETER_NAMES
+    assert list(small.state_arrays()) == names
+    base = [p.name for p in TKFNet(model_config("base"), seed=0).parameters()]
+    assert hashlib.sha256("\n".join(base).encode()).hexdigest() == BASE_PARAMETER_NAMES_SHA256
+
+
+class TAFEWithExtras(TAFE):
+    """TAFE plus a parameter assigned first and a conv held in a list."""
+
+    def __init__(self, channels, rng, dtype=np.float32):
+        self.gamma = Parameter("tafe.gamma", he_normal(rng, (1, 1, 1, 1), 1, dtype))
+        super().__init__(channels, rng, dtype)
+        self.extras = [Conv("tafe.extra0", 1, 1, channels, channels, rng, dtype)]
+
+
+def test_parameters_follow_assignment_order_into_lists(monkeypatch, tmp_path):
+    config = model_config("small", 3)
+    plain = [p.name for p in TKFNet(config, seed=0).tafe.parameters()]
+    monkeypatch.setattr("tkfnet.model.TAFE", TAFEWithExtras)
+    model = TKFNet(config, seed=0)
+    assert [p.name for p in model.tafe.parameters()] == (
+        ["tafe.gamma"] + plain + ["tafe.extra0.weight", "tafe.extra0.bias"]
+    )
+    state = model.state_arrays()
+    assert list(state) == [p.name for p in model.parameters()]
+    assert {"tafe.gamma", "tafe.extra0.weight", "tafe.extra0.bias"} <= set(state)
+    write_weights(tmp_path / "w.tkfw", state)
+    loaded = TKFNet(config, state=read_weights(tmp_path / "w.tkfw"))
+    assert loaded.tafe.gamma.data.tobytes() == model.tafe.gamma.data.tobytes()
+    assert loaded.tafe.extras[0].weight.data.tobytes() == model.tafe.extras[0].weight.data.tobytes()
+    restored = loaded.state_arrays()
+    assert list(restored) == list(state)
+    for name, arr in state.items():
+        assert restored[name].tobytes() == arr.tobytes(), name
 
 
 def test_state_arrays_are_float32_copies():

@@ -85,3 +85,16 @@ def test_tape_metrics_read_a_slot_based_tape():
     assert spans.subnormal_counts(tape.nodes) == (0, 0)
     tape.nodes[-1].outs[0].grad = np.full((1, 1, 1, 1), 1e-40, dtype=np.float32)
     assert spans.subnormal_counts(tape.nodes) == (1, 1)
+
+
+def test_instrumented_model_lists_the_same_parameters():
+    # Module.parameters reaches the wrapped sub-modules through the proxies'
+    # attribute forwarding.
+    model = TKFNet(model_config("base"), seed=0)
+    before = model.parameters()
+    load_spans().Tracer().instrument(model)
+    assert type(model.tafe).__name__ == "_TimedModule"
+    assert type(model.backbone.stages[0][0]).__name__ == "_TimedModule"
+    after = model.parameters()
+    assert len(after) == len(before)
+    assert all(a is b for a, b in zip(after, before))

@@ -1,9 +1,11 @@
 """Schedule, optimizer, epoch loop and evaluation metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tkfnet.data import Dataset, Sample, synth_dataset
+from tkfnet.data import Dataset, Sample, preprocess, synth_dataset
 from tkfnet.model import TKFNet, model_config
 from tkfnet.tensor import Parameter, ShapeError, Tape, Tensor
 from tkfnet.train import (
@@ -253,6 +255,39 @@ def test_compute_loss_uniform_logits():
     assert loss.item() == pytest.approx(np.log(7.0), abs=1e-12)
 
 
+def test_batch_holds_each_preprocessed_image_in_order():
+    data = synth_dataset(classes=3, per_class=2, size=(20, 20), seed=1)
+    x, y = _batch_arrays(data.samples, (16, 16), True)
+    expected = np.concatenate([preprocess(s, target=(16, 16)).data for s in data.samples])
+    assert x.data.tobytes() == expected.tobytes()
+    assert y.tolist() == [s.label for s in data.samples]
+
+
+def test_batch_of_unequal_extents_is_rejected():
+    # Without the check, the (1, 16, 3) image would broadcast over the batch row.
+    samples = [Sample(Tensor(np.full((1, h, 16, 3), 0.5, np.float32)), 0) for h in (16, 1)]
+    with pytest.raises(ShapeError, match="sample 1"):
+        _batch_arrays(samples, None, True)
+
+
+def test_batch_is_built_in_place():
+    # Holding every image and then their concatenation peaks at 2x the batch.
+    data = synth_dataset(classes=4, per_class=8, size=(48, 48), seed=0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        x, _ = _batch_arrays(data.samples, (224, 224), True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert x.shape == (32, 224, 224, 3)
+    assert peak < 1.5 * x.data.nbytes
+
+
 def test_base_model_at_224_stays_finite_over_four_steps():
     # The paper's size at the bench's lr: with every conv_b drawn He-normal,
     # the loss starts near 30 and is no longer finite at step 2.
@@ -260,7 +295,7 @@ def test_base_model_at_224_stays_finite_over_four_steps():
     model = TKFNet(model_config("base"), seed=0)
     opt = MomentumOptimizer(model.parameters(), constant_schedule(0.01), momentum=0.9)
     for step in range(4):
-        x, y = _batch_arrays(data.samples[step * 8 : (step + 1) * 8], (224, 224), True, np.float32)
+        x, y = _batch_arrays(data.samples[step * 8 : (step + 1) * 8], (224, 224), True)
         with Tape() as tape:
             loss = compute_loss(model(x), y)
             tape.backward(loss)
