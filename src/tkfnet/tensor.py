@@ -8,11 +8,12 @@ connected layer is a 1x1 kernel applied to a (n, 1, 1, cin) vector,
 convolutions pad "same", and pooling is global, from (n, h, w, c) to
 (n, 1, 1, c). Storage defaults to float32 and may be float64 for
 verification work; reductions always accumulate in float64. The purely
-spatial reductions (moments, average pooling) sum their operands in sorted
-order, so spatially permuting an input reproduces the reduced values bit for
-bit. The module needs numpy alone: the error function behind gelu, ``_erf``,
-ports the Cephes rational approximation that ``scipy.special.erf`` evaluates
-and gives scipy's float32 bits.
+spatial reductions (moments, average pooling) sort their operands in the
+operands' own dtype and sum them in that order, so spatially permuting an
+input reproduces the reduced values bit for bit. The module needs numpy
+alone: the error function behind gelu, ``_erf``, ports the Cephes rational
+approximation that ``scipy.special.erf`` evaluates and gives scipy's float32
+bits.
 
 Differentiable calls record onto the innermost active ``Tape``. Replaying a
 tape visits operations in exact reverse execution order and accumulates into
@@ -38,14 +39,15 @@ so gradients do not change.
 
 A convolution's forward builds its im2col patch matrix and multiplies it a
 block of whole samples at a time, each block at least ``_PATCH_BLOCK``
-elements, so it never holds the whole batch's matrix. Backward rebuilds the
-matrix for the kernel gradient a kernel row at a time, through one reused
-buffer, when each kernel row's columns hold at least ``_PATCH_BLOCK``
-elements, and whole, for one product, below that. Either way the samples are
-padded one of the forward's blocks at a time in one reused buffer, never in a
-padded copy of the batch. The input gradient is summed tap by tap into an
-unpadded buffer, which then becomes the input's gradient; each tap's product
-goes through one reused buffer.
+elements, so it never holds the whole batch's matrix; a 1x1 stride-1
+kernel's matrix is the block of input itself. Backward rebuilds the matrix
+for the kernel gradient through one reused buffer, a kernel row at a time
+when each kernel row's columns hold at least ``_PATCH_BLOCK`` elements, and
+whole, for one product, below that. Either way the samples are padded one of
+the forward's blocks at a time in one reused buffer, never in a padded copy
+of the batch. The input gradient is summed tap by tap into an unpadded
+buffer, which then becomes the input's gradient; each tap's product goes
+through one reused buffer.
 
 A tape replays once. Right after a node has run, or has been skipped because
 none of its outputs received a gradient, backward drops the node's closure,
@@ -55,12 +57,13 @@ leaves, the tensors that no recorded op produced (inputs and parameters),
 hold a ``.grad``.
 
 Gradients follow one ownership rule: a slot's ``grad`` is always an array
-that the slot alone holds, and it never holds -0. Such an array comes from
-``_accum``'s copy, from a convolution's input gradient or from the loss seed.
-Since a node's output gradients are dropped as soon as the node has run, the
-node may overwrite them: relu masks its output's gradient in place and hands
-it on to its input through ``_accum(..., owned=True)``, with the bits of the
-copy it no longer makes.
+that the slot alone holds, and it never holds -0. Every backward hands each
+gradient array it builds to ``_accum(..., owned=True)``, which adopts it, with
+the bits of the copy it no longer makes, when it has the slot's shape and
+dtype. Since a node's output gradients are dropped as soon as the node has
+run, the node may build its input's gradient over them: the activations
+multiply their output's gradient in place, ``add`` hands it to its first
+operand and ``hadamard`` writes its first operand's gradient over it.
 """
 
 import math
@@ -295,8 +298,9 @@ def _accum(slot, grad, owned=False):
 def _sorted_sum(values, axis):
     # Summing in sorted order makes the result independent of the original
     # element order, which keeps spatial reductions permutation-invariant at
-    # the bit level.
-    return np.sort(values, axis=axis).sum(axis=axis)
+    # the bit level. Widening to float64 is exact and keeps the order, so
+    # sorting in the input's dtype gives the bits of sorting a float64 copy.
+    return np.sort(values, axis=axis).sum(axis=axis, dtype=np.float64)
 
 
 def _conv_geometry(h, w, kh, kw, stride):
@@ -307,9 +311,9 @@ def _conv_geometry(h, w, kh, kw, stride):
     return oh, ow, (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
 
 
-def _im2col(data, kh, kw, stride, pads, oh, ow, out=None, kernel_rows=None):
+def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None):
     """The (n * oh * ow, kh * kw * cin) patch matrix of a convolution input,
-    written into ``out`` when one is given.
+    written into the caller's buffer ``out``.
 
     Row (b, i, j) holds the zero-padded kh x kw window under output pixel
     (i, j) of sample b, taps in row-major order with channels fastest. With
@@ -325,8 +329,6 @@ def _im2col(data, kh, kw, stride, pads, oh, ow, out=None, kernel_rows=None):
     if (kh, kw, stride) == (1, 1, 1):
         return data.reshape(n * h * w, cin)
     r0, r1 = kernel_rows or (0, kh)
-    if out is None:
-        out = np.empty((n * oh * ow, (r1 - r0) * kw * cin), dtype=data.dtype)
     dst = out.reshape(n, oh, ow, r1 - r0, kw, cin)
     pt, pb, pl, pr = pads
     blocks = _sample_blocks(n, oh * ow * kh * kw * cin)
@@ -389,22 +391,16 @@ def conv2d(x, weight, bias, stride=1):
     oh, ow, pads = _conv_geometry(h, w, kh, kw, stride)
     rows, depth = oh * ow, kh * kw * cin
     wmat = weight.data.reshape(depth, cout)
-    ytype = np.result_type(x.data, wmat, bias.data)
-    if (kh, kw, stride) == (1, 1, 1):
-        y = np.empty((n * rows, cout), dtype=ytype)
-        np.matmul(x.data.reshape(n * rows, cin), wmat, out=y)
-    else:
-        # The patch matrix of one block of whole samples at a time, each
-        # written into the same buffer and multiplied into its rows of y. y
-        # comes after the buffer: allocated first, it left the batch-1 infer
-        # bench's peak RSS 1.6 MiB higher in 12 of 16 runs on a 2-CPU host.
-        blocks = _sample_blocks(n, rows * depth)
-        buf = np.empty(((n - blocks[-1][0]) * rows, depth), dtype=x.dtype)
-        y = np.empty((n * rows, cout), dtype=ytype)
-        for start, stop in blocks:
-            cols = _im2col(x.data[start:stop], kh, kw, stride, pads, oh, ow,
-                           out=buf[: (stop - start) * rows])
-            np.matmul(cols, wmat, out=y[start * rows : stop * rows])
+    # The patch matrix of one block of whole samples at a time, each written
+    # into the same buffer and multiplied into its rows of y. y comes after
+    # the buffer: allocated first, it left the batch-1 infer bench's peak RSS
+    # 1.6 MiB higher in 12 of 16 runs on a 2-CPU host.
+    blocks = _sample_blocks(n, rows * depth)
+    buf = np.empty(((n - blocks[-1][0]) * rows, depth), dtype=x.dtype)
+    y = np.empty((n * rows, cout), dtype=np.result_type(x.data, wmat, bias.data))
+    for start, stop in blocks:
+        cols = _im2col(x.data[start:stop], kh, kw, stride, pads, oh, ow, buf[: (stop - start) * rows])
+        np.matmul(cols, wmat, out=y[start * rows : stop * rows])
     y = y.reshape(n, oh, ow, cout)
     y += bias.data.reshape(cout)
 
@@ -424,19 +420,16 @@ def conv2d(x, weight, bias, stride=1):
             # row at a time through one reused buffer; otherwise in one GEMM,
             # since a split small GEMM can round differently.
             band = kw * cin
+            step = 1 if n * oh * ow * band >= _PATCH_BLOCK else kh
             gw = np.empty((kh * band, cout), dtype=np.result_type(x_data, g2))
-            if kh > 1 and n * oh * ow * band >= _PATCH_BLOCK:
-                kernel_rows = [(i, i + 1) for i in range(kh)]
-                buf = np.empty((n * oh * ow, band), dtype=x_data.dtype)
-            else:
-                kernel_rows, buf = [(0, kh)], None
-            for r0, r1 in kernel_rows:
-                cols = _im2col(x_data, kh, kw, stride, pads, oh, ow, out=buf, kernel_rows=(r0, r1))
-                np.matmul(cols.T, g2, out=gw[r0 * band : r1 * band])
+            buf = np.empty((n * oh * ow, step * band), dtype=x_data.dtype)
+            for r0 in range(0, kh, step):
+                cols = _im2col(x_data, kh, kw, stride, pads, oh, ow, buf, kernel_rows=(r0, r0 + step))
+                np.matmul(cols.T, g2, out=gw[r0 * band : (r0 + step) * band])
             del cols, buf
-            _accum(w_slot, gw.reshape(kh, kw, cin, cout))
+            _accum(w_slot, gw.reshape(kh, kw, cin, cout), owned=True)
         if b_slot.requires_grad:
-            _accum(b_slot, g2.sum(axis=0, dtype=np.float64).reshape(1, 1, 1, cout))
+            _accum(b_slot, g2.sum(axis=0, dtype=np.float64).reshape(1, 1, 1, cout), owned=True)
         if x_slot.requires_grad:
             # One (cin, cout) slice of the kernel per tap: the same products
             # and sums as the full im2col gradient, without its kh*kw-fold
@@ -539,24 +532,22 @@ def activation(kind, x):
     if not _taping(out.requires_grad):
         return out
     x_slot, out_slot = x._slot, out._slot
-    if kind == "relu":
-        def run():
-            # A bool mask multiplies as 1.0 or 0.0, so the products are
-            # those of a float mask without keeping one on the tape. The
-            # output's gradient is dropped once this node has run, so it is
-            # overwritten and handed on.
-            g = out_slot.grad
-            np.multiply(g, y > 0, out=g)
-            _accum(x_slot, g, owned=True)
-    else:
-        if kind == "sigmoid":
-            local = y * (1.0 - y)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
+    # relu keeps its output, sigmoid and gelu their local derivative.
+    local = y
+    if kind == "sigmoid":
+        local = y * (1.0 - y)
+    elif kind == "gelu":
+        with np.errstate(over="ignore", invalid="ignore"):
+            local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
 
-        def run():
-            _accum(x_slot, out_slot.grad * local)
+    def run():
+        # relu's bool mask multiplies as 1.0 or 0.0, so the products are
+        # those of a float mask without keeping one on the tape. The output's
+        # gradient is dropped once this node has run, so it is overwritten
+        # and handed on.
+        g = out_slot.grad
+        np.multiply(g, local > 0 if kind == "relu" else local, out=g)
+        _accum(x_slot, g, owned=True)
 
     _record(f"activation[{kind}]", (out,), run)
     return out
@@ -572,10 +563,10 @@ def spatial_moments(x):
     if h * w == 0:
         raise ShapeError(f"spatial_moments needs a non-empty spatial extent, got {x.shape}")
     count = h * w
-    flat = x.data.reshape(n, count, c).astype(np.float64)
+    flat = x.data.reshape(n, count, c)
     mean64 = _sorted_sum(flat, 1) / count
     centered = flat - mean64[:, None, :]
-    var64 = _sorted_sum(centered * centered, 1) / count
+    var64 = _sorted_sum(np.multiply(centered, centered, out=centered), 1) / count
 
     grad_needed = x.requires_grad
     mean = Tensor(mean64.reshape(n, 1, 1, c).astype(x.dtype), requires_grad=grad_needed)
@@ -590,8 +581,9 @@ def spatial_moments(x):
             # d var / d x_i = 2 (x_i - mean) / count; the mean's own
             # dependence cancels because the centered values sum to zero.
             centered = x_data.reshape(n, count, c) - mean64[:, None, :]
-            gx += var_slot.grad.reshape(n, 1, c) * 2.0 * centered / count
-        _accum(x_slot, gx.reshape(n, h, w, c))
+            centered *= var_slot.grad.reshape(n, 1, c) * 2.0
+            gx += np.divide(centered, count, out=centered)
+        _accum(x_slot, gx.reshape(n, h, w, c), owned=True)
 
     _record("spatial_moments", (mean, var), run)
     return mean, var
@@ -612,7 +604,7 @@ def global_pool(kind, x):
     flat = x.data.reshape(n, count, c)
     idx = None
     if kind == "avg":
-        y = (_sorted_sum(flat.astype(np.float64), 1) / count).astype(x.dtype)
+        y = (_sorted_sum(flat, 1) / count).astype(x.dtype)
     else:
         idx = flat.argmax(axis=1)[:, None, :]
         y = np.take_along_axis(flat, idx, axis=1)
@@ -624,9 +616,9 @@ def global_pool(kind, x):
         if kind == "avg":
             _accum(x_slot, np.broadcast_to(g / count, (n, count, c)))
         else:
-            gx = np.zeros((n, count, c), dtype=x_slot.dtype)
-            np.put_along_axis(gx, idx, g, axis=1)
-            _accum(x_slot, gx)
+            gx = np.zeros(x_slot.shape, dtype=x_slot.dtype)
+            np.put_along_axis(gx.reshape(n, count, c), idx, g, axis=1)
+            _accum(x_slot, gx, owned=True)
 
     _record(f"global_pool[{kind}]", (out,), run)
     return out
@@ -649,11 +641,14 @@ def hadamard(x, y):
     y_data = y.data if x.requires_grad else None
 
     def run():
+        # y's gradient reads the output's gradient, so it comes first; x's
+        # is then written over it.
         g = out_slot.grad
-        if y_data is not None:
-            _accum(x_slot, g * y_data)
         if x_data is not None:
-            _accum(y_slot, (g.astype(np.float64) * x_data).sum(axis=axes, keepdims=True))
+            gy = np.multiply(g, x_data, dtype=np.float64).sum(axis=axes, keepdims=True)
+            _accum(y_slot, gy, owned=True)
+        if y_data is not None:
+            _accum(x_slot, np.multiply(g, y_data, out=g), owned=True)
 
     _record("hadamard", (out,), run)
     return out
@@ -668,8 +663,8 @@ def add(x, y):
 
     def run():
         g = out_slot.grad
-        _accum(x_slot, g)
         _accum(y_slot, g)
+        _accum(x_slot, g, owned=True)
 
     _record("add", (out,), run)
     return out
@@ -750,7 +745,7 @@ def softmax_cross_entropy(logits, labels):
         d = probs.copy()
         d[rows, labels] -= 1.0
         d *= g / n
-        _accum(logits_slot, d.reshape(n, 1, 1, q))
+        _accum(logits_slot, d.reshape(n, 1, 1, q), owned=True)
 
     _record("softmax_cross_entropy", (out,), run)
     return out

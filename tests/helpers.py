@@ -1,4 +1,7 @@
-"""Tensor constructors and a gradient fault that only the tests need."""
+"""Tensor constructors, a gradient fault and a memory probe that only the
+tests need."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -25,3 +28,19 @@ def scale_gradients(monkeypatch, factor):
     accum = tkfnet.tensor._accum
     monkeypatch.setattr(tkfnet.tensor, "_accum",
                         lambda slot, grad, owned=False: accum(slot, grad * factor, owned))
+
+
+def traced_peak(fn):
+    """Bytes that ``fn()`` holds at its peak beyond what was live before it,
+    as tracemalloc counts numpy's buffers."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

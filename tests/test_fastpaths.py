@@ -10,13 +10,11 @@ that releases nothing. The fast and merged paths must reproduce their float
 bits exactly, not just within a tolerance.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import tkfnet.tensor
-from helpers import scale_gradients
+from helpers import scale_gradients, traced_peak
 from tkfnet.data import _axis_coords, _resize_bilinear
 from tkfnet.gradcheck import OP_TOLERANCE, _conv_case, grad_check
 from tkfnet.model import TKFNet, model_config
@@ -31,6 +29,7 @@ from tkfnet.tensor import (
     _tap_span,
     _taping,
     activation,
+    add,
     conv2d,
     global_pool,
     hadamard,
@@ -419,22 +418,6 @@ def test_im2col_copies_a_chunk_of_samples_per_pass(monkeypatch):
     assert calls == [2] * 4 * 3
 
 
-def traced_peak(fn):
-    """Bytes that ``fn()`` holds at its peak beyond what was live before it,
-    as tracemalloc counts numpy's buffers."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 def test_conv2d_forward_holds_less_than_the_batch_patch_matrix():
     n, h, w, c = 8, 56, 56, 32
     rng = np.random.default_rng(9)
@@ -481,16 +464,73 @@ def test_conv2d_input_gradient_holds_one_tap_product():
     assert peak < out_grad + x_grad + tap + tap // 2
 
 
-def test_relu_backward_holds_only_its_mask():
-    # The stem relu of base@224 at batch 8. Its backward overwrites the
-    # output's gradient, so beyond the memory live when it starts it holds
-    # the bool mask, a quarter of one float32 array of this shape.
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "gelu"])
+def test_activation_backward_holds_at_most_a_mask(kind):
+    # At the shape of base@224's stem relu at batch 8. The backward overwrites
+    # the output's gradient, so beyond the memory live when it starts it holds
+    # at most relu's bool mask, a quarter of one float32 array of this shape.
+    # A fresh product for the input's gradient would hold 2x the output's
+    # bytes.
     shape = (8, 112, 112, 32)
     x = Tensor(np.random.default_rng(14).normal(size=shape).astype(np.float32), requires_grad=True)
     with Tape() as tape:
-        out = activation("relu", x)
+        out = activation(kind, x)
     out.grad = np.ones(shape, dtype=np.float32)
     assert traced_peak(tape.nodes[0].run) < out.grad.nbytes
+
+
+# TAFE's and DCIF's input at base@224, batch 32.
+FEATURE_SHAPE = (32, 14, 14, 256)
+
+
+def feature_map(seed, requires_grad=False):
+    data = np.random.default_rng(seed).normal(size=FEATURE_SHAPE).astype(np.float32)
+    return Tensor(data, requires_grad=requires_grad)
+
+
+@pytest.mark.parametrize("op, bound", [(lambda x: global_pool("avg", x), 2.5), (spatial_moments, 6.0)],
+                         ids=["avg_pool", "spatial_moments"])
+def test_sorted_reductions_copy_no_map_to_float64(op, bound):
+    # Sorting a float64 copy of the map would hold 4x the map's bytes in the
+    # average pool and 8x in the moments; sorting the map itself holds 1x and
+    # 4x, the moments' float64 centered values included.
+    x = feature_map(20)
+    assert traced_peak(lambda: op(x)) < bound * x.data.nbytes
+
+
+@pytest.mark.parametrize("op, bound", [(hadamard, 2.5), (add, 1.5)], ids=["channel_gate", "add"])
+def test_backward_builds_over_the_output_gradient(op, bound):
+    # The channel gate's float64 gradient is 2x the map's bytes, and the
+    # map's own gradient is written over the output's; a fresh one would
+    # make 3x. add hands the output's gradient on to its first operand and
+    # copies it for its second; two copies would make 2x.
+    x = feature_map(21, requires_grad=True)
+    other = feature_map(22, requires_grad=True)
+    if op is hadamard:
+        other = Tensor(np.random.default_rng(23).uniform(size=(32, 1, 1, 256)).astype(np.float32),
+                       requires_grad=True)
+    with Tape() as tape:
+        out = op(x, other)
+    out.grad = np.ones(out.shape, dtype=np.float32)
+    assert traced_peak(tape.nodes[0].run) < bound * x.data.nbytes
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["normal", "planted"])
+@pytest.mark.parametrize("shape", [(1, 20000, 1), (2, 100000, 1), (128, 196, 256)],
+                         ids=["1x20000x1", "2x100000x1", "dcif_b128"])
+def test_sorted_sum_of_float32_matches_a_float64_copy_bits(shape, planted):
+    # With one channel the reduced axis is contiguous, where numpy sums
+    # pairwise; a numpy whose casting reduction summed in other blocks than
+    # the float64 copy's would move bits here. (128, 196, 256) is DCIF's
+    # average pool at batch 128.
+    values = np.random.default_rng(list(shape)).normal(size=shape).astype(np.float32)
+    if planted:
+        n, count, c = shape
+        for i, special in enumerate([-0.0, 1e-40, np.inf, -np.inf, np.nan]):
+            values[i % n, (37 * i) % count, i % c] = special
+    with np.errstate(invalid="ignore"):
+        expected = np.sort(values.astype(np.float64), axis=1).sum(axis=1)
+        assert_same_bits(_sorted_sum(values, 1), expected, "sorted sum")
 
 
 def test_conv2d_without_tape_matches_reference_bits():
@@ -614,20 +654,26 @@ def _conv(k, stride):
         (_conv(3, 2), "input"),
         (_conv(1, 2), "input"),
         (lambda x: activation("relu", x), "output"),
+        (lambda x: activation("sigmoid", x), "derivative"),
+        (lambda x: activation("gelu", x), "derivative"),
         (lambda x: spatial_moments(x)[0], "input"),
     ],
-    ids=["conv3x3_s1", "conv3x3_s2", "conv1x1_s2", "relu", "spatial_moments"],
+    ids=["conv3x3_s1", "conv3x3_s2", "conv1x1_s2", "relu", "sigmoid", "gelu", "spatial_moments"],
 )
 def test_tape_keeps_no_input_sized_arrays(op, reads):
     # Backward rebuilds im2col matrices, relu masks and centered values from
     # the one array its formula reads, the op's own input or output, so the
-    # tape keeps that array and nothing else as large.
+    # tape keeps that array and nothing else as large. sigmoid and gelu keep
+    # their local derivative instead, and neither their input nor output.
     x = Tensor(np.random.default_rng(6).normal(size=(2, 8, 8, 8)).astype(np.float32), requires_grad=True)
     with Tape() as tape:
         out = op(x)
     (node,) = tape.nodes
     large = [a for a in closure_arrays(node) if a.nbytes >= x.data.nbytes]
-    assert [id(a) for a in large] == [id(x.data if reads == "input" else out.data)]
+    if reads == "derivative":
+        assert len(large) == 1 and large[0] is not x.data and large[0] is not out.data
+    else:
+        assert [id(a) for a in large] == [id(x.data if reads == "input" else out.data)]
 
 
 def zero_fill_accum(shape, dtype, grads):

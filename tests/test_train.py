@@ -1,10 +1,9 @@
 """Schedule, optimizer, epoch loop and evaluation metrics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from tkfnet.data import Dataset, Sample, preprocess, synth_dataset
 from tkfnet.model import TKFNet, model_config
 from tkfnet.tensor import Parameter, ShapeError, Tape, Tensor
@@ -273,17 +272,9 @@ def test_batch_of_unequal_extents_is_rejected():
 def test_batch_is_built_in_place():
     # Holding every image and then their concatenation peaks at 2x the batch.
     data = synth_dataset(classes=4, per_class=8, size=(48, 48), seed=0)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        x, _ = _batch_arrays(data.samples, (224, 224), True)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
+    built = []
+    peak = traced_peak(lambda: built.extend(_batch_arrays(data.samples, (224, 224), True)))
+    x, _ = built
     assert x.shape == (32, 224, 224, 3)
     assert peak < 1.5 * x.data.nbytes
 
