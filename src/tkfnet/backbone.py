@@ -50,7 +50,14 @@ class BackboneConfig:
 
 class ResidualBlock(Module):
     """conv -> relu -> conv residual branch plus an identity or projected
-    shortcut; a 1x1 projection appears only when shape or stride changes."""
+    shortcut; a 1x1 projection appears only when shape or stride changes.
+
+    The projection is recorded before the branch, so backward reaches it
+    last: ``conv_a``'s dense input gradient becomes the input's gradient, and
+    the projection's 1x1 terms are added into it in place, with no
+    input-sized buffer of zeros. Addition commutes, so the gradient's bits are
+    those of the other order.
+    """
 
     def __init__(self, name, cin, cout, stride, rng, dtype=np.float32):
         self.stride = stride
@@ -68,9 +75,9 @@ class ResidualBlock(Module):
             self.proj = None
 
     def __call__(self, x):
+        shortcut = self.proj(x, stride=self.stride) if self.proj is not None else x
         branch = activation("relu", self.conv_a(x, stride=self.stride))
         branch = self.conv_b(branch)
-        shortcut = self.proj(x, stride=self.stride) if self.proj is not None else x
         return activation("relu", add(branch, shortcut))
 
 

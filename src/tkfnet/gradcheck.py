@@ -159,6 +159,23 @@ def _conv_case(kernel, x_shape, stride=None):
     return build
 
 
+def _conv_into_grad_case(x_shape, stride):
+    """Probe of a 1x1 conv whose input also feeds an op recorded after it, so
+    the conv's backward adds into the gradient the input already holds."""
+    conv = _conv_case(1, x_shape, stride=stride)
+
+    def build(rng, dtype):
+        f, inputs = conv(rng, dtype)
+        cx = _weight_tensor(rng, x_shape, dtype)
+
+        def g(x, *rest):
+            return add(f(x, *rest), reduce_sum(hadamard(x, cx)))
+
+        return g, inputs
+
+    return build
+
+
 def _case_spatial_moments(rng, dtype):
     x = Tensor(_uniform(rng, (2, 2, 2, 4), dtype), requires_grad=True)
     cm = _weight_tensor(rng, (2, 1, 1, 4), dtype)
@@ -213,6 +230,10 @@ OP_CASES = {
     "conv2d_1x1": _conv_case(1, (2, 3, 3, 3), stride=1),
     "conv2d_1x1_stride2": _conv_case(1, (2, 3, 3, 3), stride=2),
     "conv2d_3x3": _conv_case(3, (1, 4, 5, 2)),
+    # A 1x1 conv's input term goes in place into the gradient its input
+    # already holds, at stride 1 and at stride 2.
+    "conv2d_1x1_into_grad": _conv_into_grad_case((2, 3, 3, 3), stride=1),
+    "conv2d_1x1_stride2_into_grad": _conv_into_grad_case((2, 3, 3, 3), stride=2),
 }
 
 

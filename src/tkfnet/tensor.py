@@ -47,7 +47,9 @@ whole, for one product, below that. Either way the samples are padded one of
 the forward's blocks at a time in one reused buffer, never in a padded copy
 of the batch. The input gradient is summed tap by tap into an unpadded
 buffer, which then becomes the input's gradient; each tap's product goes
-through one reused buffer.
+through one reused buffer. A 1x1 kernel has one tap, whose product is the
+gradient itself at stride 1 and is assigned into zeros at stride 2; when the
+input already holds a gradient, the product is added into it in place.
 
 A tape replays once. Right after a node has run, or has been skipped because
 none of its outputs received a gradient, backward drops the node's closure,
@@ -63,7 +65,11 @@ the bits of the copy it no longer makes, when it has the slot's shape and
 dtype. Since a node's output gradients are dropped as soon as the node has
 run, the node may build its input's gradient over them: the activations
 multiply their output's gradient in place, ``add`` hands it to its first
-operand and ``hadamard`` writes its first operand's gradient over it.
+operand and ``hadamard`` writes its first operand's gradient over it. As
+the slot owns its gradient, a 1x1 convolution adds its input's term into it
+in place. The sorted reductions, ``spatial_moments``' gradient and the float64
+products behind a channel gate's gradient go a sample at a time, so no
+float64 array of the whole batch's map is held.
 """
 
 import math
@@ -295,12 +301,17 @@ def _accum(slot, grad, owned=False):
         slot.grad += np.asarray(grad, dtype=slot.dtype).reshape(slot.shape)
 
 
-def _sorted_sum(values, axis):
-    # Summing in sorted order makes the result independent of the original
-    # element order, which keeps spatial reductions permutation-invariant at
-    # the bit level. Widening to float64 is exact and keeps the order, so
-    # sorting in the input's dtype gives the bits of sorting a float64 copy.
-    return np.sort(values, axis=axis).sum(axis=axis, dtype=np.float64)
+def _sorted_sum(values):
+    # The float64 sum of (n, count, c) values over axis 1. Summing in sorted
+    # order makes the result independent of the original element order, which
+    # keeps spatial reductions permutation-invariant at the bit level.
+    # Widening to float64 is exact and keeps the order, so sorting in the
+    # input's dtype gives the bits of sorting a float64 copy. A sample at a
+    # time, only one sample's sorted copy is held.
+    out = np.empty((values.shape[0], values.shape[2]))
+    for b, sample in enumerate(values):
+        out[b] = np.sort(sample, axis=0).sum(axis=0, dtype=np.float64)
+    return out
 
 
 def _conv_geometry(h, w, kh, kw, stride):
@@ -437,9 +448,26 @@ def conv2d(x, weight, bias, stride=1):
             # reads, so no padded buffer is needed, and every tap's product
             # goes through one reused buffer.
             pt, _, pl, _ = pads
-            gx = np.zeros((n, h, w, cin), dtype=x_slot.dtype)
             tap = np.empty((n * oh * ow, cin), dtype=np.result_type(g2, w_data))
             gtap = tap.reshape(n, oh, ow, cin)
+            if (kh, kw) == (1, 1) and tap.dtype == x_slot.dtype:
+                # A 1x1 kernel gives each input pixel at most one term, so the
+                # term lands where the gradient is kept, with the bits of a
+                # zero-filled buffer added to it: in place into the gradient
+                # the slot already owns, handed on at stride 1, assigned into
+                # zeros at stride 2. The add or _accum turns -0 into +0. With
+                # mixed dtypes the loop below keeps its cast order.
+                np.matmul(g2, w_data[0, 0].T, out=tap)
+                if x_slot.grad is not None:
+                    x_slot.grad[:, ::stride, ::stride] += gtap
+                elif stride == 1:
+                    _accum(x_slot, gtap, owned=True)
+                else:
+                    gx = np.zeros((n, h, w, cin), dtype=x_slot.dtype)
+                    gx[:, ::stride, ::stride] = gtap
+                    _accum(x_slot, gx, owned=True)
+                return
+            gx = np.zeros((n, h, w, cin), dtype=x_slot.dtype)
             for i in range(kh):
                 span_h = _tap_span(i, pt, h, oh, stride)
                 for j in range(kw):
@@ -564,9 +592,9 @@ def spatial_moments(x):
         raise ShapeError(f"spatial_moments needs a non-empty spatial extent, got {x.shape}")
     count = h * w
     flat = x.data.reshape(n, count, c)
-    mean64 = _sorted_sum(flat, 1) / count
+    mean64 = _sorted_sum(flat) / count
     centered = flat - mean64[:, None, :]
-    var64 = _sorted_sum(np.multiply(centered, centered, out=centered), 1) / count
+    var64 = _sorted_sum(np.multiply(centered, centered, out=centered)) / count
 
     grad_needed = x.requires_grad
     mean = Tensor(mean64.reshape(n, 1, 1, c).astype(x.dtype), requires_grad=grad_needed)
@@ -574,15 +602,22 @@ def spatial_moments(x):
     x_slot, mean_slot, var_slot, x_data = x._slot, mean._slot, var._slot, x.data
 
     def run():
-        gx = np.zeros((n, count, c))
-        if mean_slot.grad is not None:
-            gx += mean_slot.grad.reshape(n, 1, c) / count
-        if var_slot.grad is not None:
-            # d var / d x_i = 2 (x_i - mean) / count; the mean's own
-            # dependence cancels because the centered values sum to zero.
-            centered = x_data.reshape(n, count, c) - mean64[:, None, :]
-            centered *= var_slot.grad.reshape(n, 1, c) * 2.0
-            gx += np.divide(centered, count, out=centered)
+        # The float64 gradient is built one sample at a time and rounded
+        # into the input's dtype, so only one sample's float64 values live.
+        gm = None if mean_slot.grad is None else mean_slot.grad.reshape(n, 1, c) / count
+        gv = None if var_slot.grad is None else var_slot.grad.reshape(n, 1, c) * 2.0
+        gx = np.empty((n, count, c), dtype=x_slot.dtype)
+        for b, sample in enumerate(x_data.reshape(n, count, c)):
+            row = np.zeros((count, c))
+            if gm is not None:
+                row += gm[b]
+            if gv is not None:
+                # d var / d x_i = 2 (x_i - mean) / count; the mean's own
+                # dependence cancels because the centered values sum to zero.
+                centered = sample - mean64[b]
+                centered *= gv[b]
+                row += np.divide(centered, count, out=centered)
+            gx[b] = row
         _accum(x_slot, gx.reshape(n, h, w, c), owned=True)
 
     _record("spatial_moments", (mean, var), run)
@@ -604,7 +639,7 @@ def global_pool(kind, x):
     flat = x.data.reshape(n, count, c)
     idx = None
     if kind == "avg":
-        y = (_sorted_sum(flat, 1) / count).astype(x.dtype)
+        y = (_sorted_sum(flat) / count).astype(x.dtype)
     else:
         idx = flat.argmax(axis=1)[:, None, :]
         y = np.take_along_axis(flat, idx, axis=1)
@@ -645,7 +680,15 @@ def hadamard(x, y):
         # is then written over it.
         g = out_slot.grad
         if x_data is not None:
-            gy = np.multiply(g, x_data, dtype=np.float64).sum(axis=axes, keepdims=True)
+            if 0 in axes:
+                gy = np.multiply(g, x_data, dtype=np.float64).sum(axis=axes, keepdims=True)
+            else:
+                # y keeps the batch axis, as a channel gate does: its float64
+                # products are formed and summed one sample at a time.
+                gy = np.empty(y_slot.shape)
+                sample_axes = tuple(a - 1 for a in axes)
+                for b in range(len(g)):
+                    gy[b] = np.multiply(g[b], x_data[b], dtype=np.float64).sum(axis=sample_axes, keepdims=True)
             _accum(y_slot, gy, owned=True)
         if y_data is not None:
             _accum(x_slot, np.multiply(g, y_data, out=g), owned=True)

@@ -1,12 +1,13 @@
-"""Tensor constructors, a gradient fault and a memory probe that only the
-tests need."""
+"""Tensor constructors, a gradient fault, a memory probe and a step digest
+that only the tests need."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 
 import tkfnet.tensor
-from tkfnet.tensor import DEFAULT_DTYPE, Tensor
+from tkfnet.tensor import DEFAULT_DTYPE, Tape, Tensor, softmax_cross_entropy
 
 
 def scalar_tensor(value, dtype=DEFAULT_DTYPE):
@@ -23,7 +24,9 @@ def scale_gradients(monkeypatch, factor):
     """Make every gradient a backward writes ``factor`` times too large.
 
     Each op's backward looks ``tkfnet.tensor._accum`` up when it runs, so the
-    wrapper reaches every write: a wrong backward for the negative controls.
+    wrapper reaches every write but one, a 1x1 conv's input term added in
+    place into a gradient the input already holds: a wrong backward for the
+    negative controls.
     """
     accum = tkfnet.tensor._accum
     monkeypatch.setattr(tkfnet.tensor, "_accum",
@@ -44,3 +47,17 @@ def traced_peak(fn):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def step_digest(model, x, labels):
+    """sha256 of one taped step: the bytes of the cross-entropy loss of
+    ``model(x)`` against ``labels``, then of every parameter's gradient in
+    ``model.parameters()`` order. The gradients are cleared afterwards."""
+    with Tape() as tape:
+        loss = softmax_cross_entropy(model(x), labels)
+    tape.backward(loss)
+    digest = hashlib.sha256(loss.data.tobytes())
+    for p in model.parameters():
+        digest.update(p.grad.tobytes())
+        p.grad = None
+    return digest.hexdigest()

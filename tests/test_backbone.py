@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import step_digest
 from tkfnet.backbone import (
     STEM_STRIDE,
     Backbone,
@@ -10,8 +11,9 @@ from tkfnet.backbone import (
     ResidualBlock,
     build_backbone,
 )
+from tkfnet.layers import Module
 from tkfnet.model import PRESETS
-from tkfnet.tensor import ShapeError, Tensor
+from tkfnet.tensor import ShapeError, Tensor, activation, add, global_pool
 
 
 SMALL = PRESETS["small"]
@@ -147,3 +149,40 @@ def test_zeroed_conv_b_leaves_every_other_draw_unchanged():
     proj = rng.normal(0.0, np.sqrt(2.0 / 4), size=(1, 1, 4, 8)).astype(np.float32)
     np.testing.assert_array_equal(block.conv_a.weight.data, conv_a)
     np.testing.assert_array_equal(block.proj.weight.data, proj)
+
+
+class _PooledBlock(Module):
+    """A block run by ``forward`` and pooled to (n, 1, 1, c) logits."""
+
+    def __init__(self, block, forward):
+        self.block = block
+        self.forward = forward
+
+    def __call__(self, x):
+        return global_pool("avg", self.forward(self.block, x))
+
+
+def _branch_first(block, x):
+    # The block as it recorded before the projection came first.
+    branch = activation("relu", block.conv_a(x, stride=block.stride))
+    branch = block.conv_b(branch)
+    return activation("relu", add(branch, block.proj(x, stride=block.stride)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin, stride", [(4, 2), (3, 1)], ids=["strided", "widening"])
+def test_projection_first_keeps_the_branch_first_gradient_bits(cin, stride, dtype):
+    block = ResidualBlock("b", cin, 6, stride, np.random.default_rng(5), dtype)
+    rng = np.random.default_rng(6)
+    # A nonzero conv_b, so that the branch adds to the input's gradient.
+    block.conv_b.weight.data[:] = rng.normal(0.0, 0.2, size=block.conv_b.weight.shape)
+    data = rng.normal(size=(3, 8, 8, cin)).astype(dtype)
+    labels = np.array([0, 5, 2])
+    results = []
+    for forward in (ResidualBlock.__call__, _branch_first):
+        x = Tensor(data.copy(), requires_grad=True)
+        results.append((step_digest(_PooledBlock(block, forward), x, labels), x.grad))
+    (digest, grad), (branch_first_digest, branch_first_grad) = results
+    assert digest == branch_first_digest
+    assert grad.dtype == dtype and np.count_nonzero(grad) > grad.size // 2
+    assert np.array_equal(grad.view(np.uint8), branch_first_grad.view(np.uint8))

@@ -107,6 +107,8 @@ class TestOpSweep:
             "conv2d_1x1",
             "conv2d_1x1_stride2",
             "conv2d_3x3",
+            "conv2d_1x1_into_grad",
+            "conv2d_1x1_stride2_into_grad",
         }
 
     def test_every_model_op_has_a_case(self):
