@@ -48,8 +48,8 @@ the forward's blocks at a time in one reused buffer, never in a padded copy
 of the batch. The input gradient is summed tap by tap into an unpadded
 buffer, which then becomes the input's gradient; each tap's product goes
 through one reused buffer. A 1x1 kernel has one tap, whose product is the
-gradient itself at stride 1 and is assigned into zeros at stride 2; when the
-input already holds a gradient, the product is added into it in place.
+gradient itself at stride 1; at a larger stride, when the input already
+holds a gradient, the product is added into it in place.
 
 A tape replays once. Right after a node has run, or has been skipped because
 none of its outputs received a gradient, backward drops the node's closure,
@@ -277,7 +277,7 @@ def _taping(requires_grad):
     return requires_grad and Tape.active() is not None
 
 
-def _accum(slot, grad, owned=False):
+def _accum(slot, grad, owned=False, stride=1):
     """Add ``grad`` into the gradient of ``slot``, a ``_GradSlot`` or a tensor.
 
     A slot's ``grad`` is always an array that the slot alone holds, and it
@@ -285,9 +285,14 @@ def _accum(slot, grad, owned=False):
     has no gradient yet and ``grad`` is a C-contiguous array of the slot's
     shape and dtype, it has 0 added in place and becomes the slot's
     gradient. That gives the bits of the copy made otherwise: -0
-    becomes +0, and a NaN stays NaN.
+    becomes +0, and a NaN stays NaN. With ``stride`` above 1, ``grad`` is the
+    gradient of every ``stride``-th row and column of an (n, h, w, c) slot
+    that already holds a gradient, and is added into those pixels in place.
     """
     if not slot.requires_grad:
+        return
+    if stride > 1:
+        slot.grad[:, ::stride, ::stride] += grad
         return
     if (owned and slot.grad is None and grad.shape == slot.shape
             and grad.dtype == slot.dtype and grad.flags.c_contiguous):
@@ -450,22 +455,16 @@ def conv2d(x, weight, bias, stride=1):
             pt, _, pl, _ = pads
             tap = np.empty((n * oh * ow, cin), dtype=np.result_type(g2, w_data))
             gtap = tap.reshape(n, oh, ow, cin)
-            if (kh, kw) == (1, 1) and tap.dtype == x_slot.dtype:
+            if ((kh, kw) == (1, 1) and tap.dtype == x_slot.dtype
+                    and (stride == 1 or x_slot.grad is not None)):
                 # A 1x1 kernel gives each input pixel at most one term, so the
-                # term lands where the gradient is kept, with the bits of a
-                # zero-filled buffer added to it: in place into the gradient
-                # the slot already owns, handed on at stride 1, assigned into
-                # zeros at stride 2. The add or _accum turns -0 into +0. With
-                # mixed dtypes the loop below keeps its cast order.
+                # term needs no zero-filled buffer: at stride 1 it is the
+                # gradient itself, and at a larger stride it is added in place
+                # into the gradient the input already holds. _accum turns -0
+                # into +0, so the bits are those of the loop below. With mixed
+                # dtypes the loop keeps its cast order.
                 np.matmul(g2, w_data[0, 0].T, out=tap)
-                if x_slot.grad is not None:
-                    x_slot.grad[:, ::stride, ::stride] += gtap
-                elif stride == 1:
-                    _accum(x_slot, gtap, owned=True)
-                else:
-                    gx = np.zeros((n, h, w, cin), dtype=x_slot.dtype)
-                    gx[:, ::stride, ::stride] = gtap
-                    _accum(x_slot, gx, owned=True)
+                _accum(x_slot, gtap, owned=True, stride=stride)
                 return
             gx = np.zeros((n, h, w, cin), dtype=x_slot.dtype)
             for i in range(kh):

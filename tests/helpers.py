@@ -24,13 +24,11 @@ def scale_gradients(monkeypatch, factor):
     """Make every gradient a backward writes ``factor`` times too large.
 
     Each op's backward looks ``tkfnet.tensor._accum`` up when it runs, so the
-    wrapper reaches every write but one, a 1x1 conv's input term added in
-    place into a gradient the input already holds: a wrong backward for the
-    negative controls.
+    wrapper reaches every write: a wrong backward for the negative controls.
     """
     accum = tkfnet.tensor._accum
     monkeypatch.setattr(tkfnet.tensor, "_accum",
-                        lambda slot, grad, owned=False: accum(slot, grad * factor, owned))
+                        lambda slot, grad, **kw: accum(slot, grad * factor, **kw))
 
 
 def traced_peak(fn):

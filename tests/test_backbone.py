@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import step_digest
+from helpers import step_digest, traced_peak
 from tkfnet.backbone import (
     STEM_STRIDE,
     Backbone,
@@ -13,7 +13,16 @@ from tkfnet.backbone import (
 )
 from tkfnet.layers import Module
 from tkfnet.model import PRESETS
-from tkfnet.tensor import ShapeError, Tensor, activation, add, global_pool
+from tkfnet.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    activation,
+    add,
+    global_pool,
+    hadamard,
+    reduce_sum,
+)
 
 
 SMALL = PRESETS["small"]
@@ -186,3 +195,17 @@ def test_projection_first_keeps_the_branch_first_gradient_bits(cin, stride, dtyp
     assert digest == branch_first_digest
     assert grad.dtype == dtype and np.count_nonzero(grad) > grad.size // 2
     assert np.array_equal(grad.view(np.uint8), branch_first_grad.view(np.uint8))
+
+
+def test_projecting_block_backward_holds_no_zero_filled_input_gradient():
+    # base@224's stage-0 first block at batch 2. With the projection recorded
+    # first, conv_a's input gradient becomes the input's and the projection's
+    # term is added into it, so backward peaks at 3.8x the input's bytes.
+    # Branch first, the projection's zero-filled input gradient is held while
+    # conv_a builds its own, and the peak is 4.5x.
+    block = ResidualBlock("b", 32, 32, 2, np.random.default_rng(5))
+    x = Tensor(np.random.default_rng(7).normal(size=(2, 112, 112, 32)).astype(np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        loss = reduce_sum(hadamard(block(x), Tensor(np.ones((2, 56, 56, 32), dtype=np.float32))))
+    assert traced_peak(lambda: tape.backward(loss)) < 4.2 * x.data.nbytes

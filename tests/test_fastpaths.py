@@ -373,6 +373,30 @@ def test_fault_scale_reaches_the_conv_input_gradient(monkeypatch):
         assert_same_bits(8 * a, b)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_fault_scale_reaches_the_1x1_term_added_into_a_held_gradient(monkeypatch, stride):
+    # The input also feeds a product with zeros, recorded after the conv, so
+    # it holds a gradient of +0 when the conv's term is added into it.
+    rng = np.random.default_rng(17)
+    data = rng.normal(size=(2, 5, 5, 3)).astype(np.float32)
+    weight, bias = (Tensor(rng.normal(size=s).astype(np.float32)) for s in ((1, 1, 3, 4), (1, 1, 1, 4)))
+    upstream = Tensor(rng.normal(size=(2, -(-5 // stride), -(-5 // stride), 4)).astype(np.float32))
+
+    def input_grad():
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, weight, bias, stride=stride)
+            held = reduce_sum(hadamard(x, Tensor(np.zeros_like(data))))
+            tape.backward(add(reduce_sum(hadamard(out, upstream)), held))
+        return x.grad
+
+    plain = input_grad()
+    assert np.count_nonzero(plain) == plain[:, ::stride, ::stride].size
+    scale_gradients(monkeypatch, 2.0)
+    # Four writes scale: add's, the sum's, the product's and the conv's.
+    assert_same_bits(16 * plain, input_grad())
+
+
 def test_fault_scale_reaches_the_relu_input_gradient(monkeypatch):
     rng = np.random.default_rng(13)
     data, upstream = (rng.normal(size=(2, 5, 5, 3)).astype(np.float32) for _ in range(2))

@@ -145,7 +145,7 @@ class TestOpSweep:
         written = []
         accum = tkfnet.tensor._accum
         monkeypatch.setattr(tkfnet.tensor, "_accum",
-                            lambda slot, grad, owned=False: written.append(slot) or accum(slot, grad, owned))
+                            lambda slot, grad, **kw: written.append(slot) or accum(slot, grad, **kw))
         scale_gradients(monkeypatch, 1.5)
         assert grad_check(f, inputs) > OP_TOLERANCE
         assert all(any(slot is x._slot for slot in written) for x in inputs)
