@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -564,7 +564,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("CONFIG", message)
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    # Built once per process: parse_args keeps no state between calls, and
+    # each in-process request would otherwise rebuild it.
     settings = {f.name: f.metadata for f in fields(RunConfig)}
 
     def add_flags(parser, *names):

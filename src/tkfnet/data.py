@@ -194,6 +194,18 @@ def _axis_coords(src, dst, dtype):
     return lo, hi, frac
 
 
+def _lerp(arr, lo, hi, frac, axis):
+    """(1 - frac) * arr[lo] + frac * arr[hi] along ``axis``, blended in place
+    in the two gathered copies."""
+    frac = frac.reshape([-1 if a == axis else 1 for a in range(arr.ndim)])
+    out = np.take(arr, lo, axis=axis)
+    upper = np.take(arr, hi, axis=axis)
+    out *= 1 - frac
+    upper *= frac
+    out += upper
+    return out
+
+
 def _resize_bilinear(arr, th, tw):
     n, h, w, c = arr.shape
     r0, r1, fr = _axis_coords(h, th, arr.dtype)
@@ -201,10 +213,7 @@ def _resize_bilinear(arr, th, tw):
     # Separable: blend columns once per source row, then gather and blend
     # rows. Every output element gets the same float operations, in the same
     # order, as blending the four gathered corners.
-    wc = fc[None, None, :, None]
-    across = (1 - wc) * arr[:, :, c0] + wc * arr[:, :, c1]
-    wr = fr[None, :, None, None]
-    return (1 - wr) * across[:, r0] + wr * across[:, r1]
+    return _lerp(_lerp(arr, c0, c1, fc, axis=2), r0, r1, fr, axis=1)
 
 
 def preprocess(sample, target=None, normalize=True):
@@ -226,7 +235,10 @@ def preprocess(sample, target=None, normalize=True):
         if (th, tw) != (h, w):
             data = _resize_bilinear(data, th, tw)
     if normalize:
-        data = (data - 0.5) / 0.5
+        # A resized array is this call's own and is normalized in place; the
+        # caller's ``image.data`` never is.
+        data = data - 0.5 if data is image.data else np.subtract(data, 0.5, out=data)
+        data /= 0.5
     return Tensor(data)
 
 

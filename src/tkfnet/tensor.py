@@ -40,7 +40,12 @@ so gradients do not change.
 A convolution's forward builds its im2col patch matrix and multiplies it a
 block of whole samples at a time, each block at least ``_PATCH_BLOCK``
 elements, so it never holds the whole batch's matrix; a 1x1 stride-1
-kernel's matrix is the block of input itself. Backward rebuilds the matrix
+kernel's matrix is the block of input itself. A forward that records no
+tape takes the patch buffer and the padded-input buffer from the calling
+thread's pool (``_scratch``), one buffer per role, each in its own anonymous
+``mmap`` grown to the largest block seen, and zeroes the reused pad
+buffer's border on every call; entering a ``Tape`` empties the pool. A taped
+forward and every backward allocate their own. Backward rebuilds the matrix
 for the kernel gradient through one reused buffer, a kernel row at a time
 when each kernel row's columns hold at least ``_PATCH_BLOCK`` elements, and
 whole, for one product, below that. Either way the samples are padded one of
@@ -67,12 +72,15 @@ run, the node may build its input's gradient over them: the activations
 multiply their output's gradient in place, ``add`` hands it to its first
 operand and ``hadamard`` writes its first operand's gradient over it. As
 the slot owns its gradient, a 1x1 convolution adds its input's term into it
-in place. The sorted reductions, ``spatial_moments``' gradient and the float64
-products behind a channel gate's gradient go a sample at a time, so no
-float64 array of the whole batch's map is held.
+in place. The sorted reductions, ``spatial_moments``' centered values and
+gradient, max pooling's argmax and the float64 products behind a channel
+gate's gradient go a sample at a time, so no copy of the whole batch's map
+is made.
 """
 
 import math
+import mmap
+import threading
 
 import numpy as np
 
@@ -110,6 +118,9 @@ _ERF_BLOCK = 1 << 14
 # GEMM's bits was checked under OpenBLAS 0.3.31's SkylakeX and SandyBridge
 # kernels; under its Haswell and Prescott kernels it does not hold.
 _PATCH_BLOCK = 1 << 20
+# The calling thread's reused buffers of untaped convolution forwards, one
+# per role, each in its own anonymous mapping. See _scratch.
+_POOL = threading.local()
 
 
 class ShapeError(ValueError):
@@ -232,6 +243,9 @@ class Tape:
         self.replayed = False
 
     def __enter__(self):
+        # A taped forward and its backward allocate their own buffers, so the
+        # thread's untaped-forward pool is handed back to the system.
+        vars(_POOL).clear()
         Tape._stack.append(self)
         return self
 
@@ -306,17 +320,39 @@ def _accum(slot, grad, owned=False, stride=1):
         slot.grad += np.asarray(grad, dtype=slot.dtype).reshape(slot.shape)
 
 
-def _sorted_sum(values):
-    # The float64 sum of (n, count, c) values over axis 1. Summing in sorted
-    # order makes the result independent of the original element order, which
-    # keeps spatial reductions permutation-invariant at the bit level.
+def _sorted_sum(values, center=None):
+    # The float64 sum of (n, count, c) values over axis 1 or, given an (n, c)
+    # float64 ``center``, of their squared deviations from it. Summing in
+    # sorted order makes the result independent of the original element order,
+    # which keeps spatial reductions permutation-invariant at the bit level.
     # Widening to float64 is exact and keeps the order, so sorting in the
     # input's dtype gives the bits of sorting a float64 copy. A sample at a
-    # time, only one sample's sorted copy is held.
+    # time, only one sample's centered and sorted copies are held.
     out = np.empty((values.shape[0], values.shape[2]))
     for b, sample in enumerate(values):
+        if center is not None:
+            sample = sample - center[b]
+            sample *= sample
         out[b] = np.sort(sample, axis=0).sum(axis=0, dtype=np.float64)
     return out
+
+
+def _scratch(role, shape, dtype):
+    """An uninitialized ``shape`` and ``dtype`` view of the calling thread's
+    buffer for ``role``, grown to the largest request seen.
+
+    Each buffer is an anonymous ``mmap``, outside the malloc heap: it stays
+    mapped from one untaped forward to the next, so later forwards fault
+    none of its pages in again, and emptying the pool unmaps it without
+    leaving a hole in the heap for later allocations to fragment around.
+    ``Tape.__enter__`` empties the pool.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = getattr(_POOL, role, None)
+    if raw is None or raw.size < nbytes:
+        raw = np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), dtype=np.uint8)
+        setattr(_POOL, role, raw)
+    return raw[:nbytes].view(dtype).reshape(shape)
 
 
 def _conv_geometry(h, w, kh, kw, stride):
@@ -327,7 +363,7 @@ def _conv_geometry(h, w, kh, kw, stride):
     return oh, ow, (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
 
 
-def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None):
+def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None, pooled=False):
     """The (n * oh * ow, kh * kw * cin) patch matrix of a convolution input,
     written into the caller's buffer ``out``.
 
@@ -339,7 +375,8 @@ def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None):
     windows are copied straight into the matrix one block of
     ``_sample_blocks`` at a time, from the input itself or, when the kernel
     pads, from one reused padded buffer sized for the largest block, whose
-    zero border is written once.
+    zero border is written once. With ``pooled`` that buffer is the thread's
+    ``_scratch`` "pad" buffer, whose border is zeroed on every call.
     """
     n, h, w, cin = data.shape
     if (kh, kw, stride) == (1, 1, 1):
@@ -350,7 +387,13 @@ def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None):
     blocks = _sample_blocks(n, oh * ow * kh * kw * cin)
     xp = None
     if any(pads):
-        xp = np.zeros((n - blocks[-1][0], pt + h + pb, pl + w + pr, cin), dtype=data.dtype)
+        shape = (n - blocks[-1][0], pt + h + pb, pl + w + pr, cin)
+        if pooled:
+            xp = _scratch("pad", shape, data.dtype)
+            xp[:, :pt] = xp[:, pt + h :] = 0
+            xp[:, :, :pl] = xp[:, :, pl + w :] = 0
+        else:
+            xp = np.zeros(shape, dtype=data.dtype)
     for start, stop in blocks:
         src = data[start:stop]
         if xp is not None:
@@ -410,17 +453,21 @@ def conv2d(x, weight, bias, stride=1):
     # The patch matrix of one block of whole samples at a time, each written
     # into the same buffer and multiplied into its rows of y. y comes after
     # the buffer: allocated first, it left the batch-1 infer bench's peak RSS
-    # 1.6 MiB higher in 12 of 16 runs on a 2-CPU host.
+    # 1.6 MiB higher in 12 of 16 runs on a 2-CPU host. A forward that records
+    # no tape takes the buffer, and the padded one, from the thread's pool.
+    grad_needed = x.requires_grad or weight.requires_grad or bias.requires_grad
+    pooled = not _taping(grad_needed)
     blocks = _sample_blocks(n, rows * depth)
-    buf = np.empty(((n - blocks[-1][0]) * rows, depth), dtype=x.dtype)
+    shape = ((n - blocks[-1][0]) * rows, depth)
+    buf = _scratch("patch", shape, x.dtype) if pooled else np.empty(shape, dtype=x.dtype)
     y = np.empty((n * rows, cout), dtype=np.result_type(x.data, wmat, bias.data))
     for start, stop in blocks:
-        cols = _im2col(x.data[start:stop], kh, kw, stride, pads, oh, ow, buf[: (stop - start) * rows])
+        cols = _im2col(x.data[start:stop], kh, kw, stride, pads, oh, ow,
+                       buf[: (stop - start) * rows], pooled=pooled)
         np.matmul(cols, wmat, out=y[start * rows : stop * rows])
     y = y.reshape(n, oh, ow, cout)
     y += bias.data.reshape(cout)
 
-    grad_needed = x.requires_grad or weight.requires_grad or bias.requires_grad
     out = Tensor(y, requires_grad=grad_needed)
     x_slot, w_slot, b_slot, out_slot = x._slot, weight._slot, bias._slot, out._slot
     x_data = x.data if weight.requires_grad else None
@@ -592,8 +639,7 @@ def spatial_moments(x):
     count = h * w
     flat = x.data.reshape(n, count, c)
     mean64 = _sorted_sum(flat) / count
-    centered = flat - mean64[:, None, :]
-    var64 = _sorted_sum(np.multiply(centered, centered, out=centered)) / count
+    var64 = _sorted_sum(flat, center=mean64) / count
 
     grad_needed = x.requires_grad
     mean = Tensor(mean64.reshape(n, 1, 1, c).astype(x.dtype), requires_grad=grad_needed)
@@ -640,7 +686,11 @@ def global_pool(kind, x):
     if kind == "avg":
         y = (_sorted_sum(flat) / count).astype(x.dtype)
     else:
-        idx = flat.argmax(axis=1)[:, None, :]
+        # A sample at a time: argmax over a non-last axis makes a transposed
+        # copy of what it scans.
+        idx = np.empty((n, 1, c), dtype=np.intp)
+        for b, sample in enumerate(flat):
+            idx[b, 0] = sample.argmax(axis=0)
         y = np.take_along_axis(flat, idx, axis=1)
     out = Tensor(y.reshape(n, 1, 1, c), requires_grad=x.requires_grad)
     x_slot, out_slot = x._slot, out._slot

@@ -10,6 +10,7 @@ versions, duplicate names, truncation and trailing bytes all raise
 ``WeightsFormatError`` with the byte offset where parsing failed.
 """
 
+import io
 import math
 import struct
 from pathlib import Path
@@ -50,33 +51,58 @@ def write_weights(path, arrays):
 
 
 class _Reader:
-    """Bounds-checked cursor over a buffer; ``take`` returns views, not copies."""
+    """Bounds-checked cursor over a binary stream of known size."""
 
-    def __init__(self, data):
-        self.data = memoryview(data)
+    def __init__(self, stream):
+        self.stream = stream
+        self.size = stream.seek(0, io.SEEK_END)
+        stream.seek(0)
         self.pos = 0
 
-    def take(self, count, what):
-        end = self.pos + count
-        if end > len(self.data):
+    def _check(self, count, what, have=None):
+        # Every bound is checked against the size before a byte is read or a
+        # buffer allocated; ``have`` reports a stream that ended early.
+        if have is None:
+            have = self.size - self.pos
+        if count > have:
             raise WeightsFormatError(
-                f"truncated {what} at byte {self.pos}: need {count} bytes, "
-                f"have {len(self.data) - self.pos}"
+                f"truncated {what} at byte {self.pos}: need {count} bytes, have {have}"
             )
-        chunk = self.data[self.pos:end]
-        self.pos = end
+
+    def take(self, count, what):
+        self._check(count, what)
+        chunk = self.stream.read(count)
+        self._check(count, what, len(chunk))
+        self.pos += count
         return chunk
+
+    def take_array(self, dims, what):
+        """The next float32 payload of shape ``dims``, read straight into a
+        new array once its size has passed the check."""
+        # Python ints: a crafted header must not wrap the size to a small value.
+        count = math.prod(dims) * 4
+        self._check(count, what)
+        arr = np.empty(dims, dtype="<f4")
+        view = memoryview(arr).cast("B")
+        filled = 0
+        while filled < count:
+            got = self.stream.readinto(view[filled:])
+            if not got:
+                self._check(count, what, filled)
+            filled += got
+        self.pos += count
+        return arr
 
     def u32(self, what):
         return _U32.unpack(self.take(4, what))[0]
 
 
-def deserialize_weights(data):
-    """Parse container bytes into an ordered name -> float32 array dict."""
-    reader = _Reader(data)
+def _parse(stream):
+    """Parse a container stream into an ordered name -> float32 array dict."""
+    reader = _Reader(stream)
     magic = reader.take(4, "magic")
     if magic != MAGIC:
-        raise WeightsFormatError(f"bad magic {bytes(magic)!r} at byte 0; expected {MAGIC!r}")
+        raise WeightsFormatError(f"bad magic {magic!r} at byte 0; expected {MAGIC!r}")
     version = reader.u32("version")
     if version != VERSION:
         raise WeightsFormatError(
@@ -105,23 +131,26 @@ def deserialize_weights(data):
         dims = tuple(reader.u32("dimension") for _ in range(4))
         if any(d == 0 for d in dims):
             raise WeightsFormatError(f"tensor {name!r} has zero dimension {dims} at byte {rank_start}")
-        # Python ints: a crafted header must not wrap the size to a small value.
-        size = math.prod(dims)
-        payload = reader.take(size * 4, f"payload of {name!r}")
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    if reader.pos != len(reader.data):
+        arrays[name] = reader.take_array(dims, f"payload of {name!r}")
+    if reader.pos != reader.size:
         raise WeightsFormatError(
-            f"{len(reader.data) - reader.pos} trailing bytes after record {count} at byte {reader.pos}"
+            f"{reader.size - reader.pos} trailing bytes after record {count} at byte {reader.pos}"
         )
     return arrays
 
 
+def deserialize_weights(data):
+    """Parse container bytes into an ordered name -> float32 array dict."""
+    return _parse(io.BytesIO(data))
+
+
 def read_weights(path):
+    """Read a container file, each payload straight into its array."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as stream:
+            return _parse(stream)
     except OSError as exc:
         raise WeightsFormatError(f"cannot read {path}: {exc}") from exc
-    return deserialize_weights(data)
 
 
 def write_tensor(path, arr, name="tensor"):

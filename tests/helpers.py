@@ -1,4 +1,4 @@
-"""Tensor constructors, a gradient fault, a memory probe and a step digest
+"""Tensor constructors, a gradient fault, memory probes and a step digest
 that only the tests need."""
 
 import hashlib
@@ -31,17 +31,26 @@ def scale_gradients(monkeypatch, factor):
                         lambda slot, grad, **kw: accum(slot, grad * factor, **kw))
 
 
+def pool_bytes():
+    """Bytes of the calling thread's conv scratch pool, which lives in
+    anonymous mappings that tracemalloc does not see."""
+    return sum(raw.nbytes for raw in vars(tkfnet.tensor._POOL).values())
+
+
 def traced_peak(fn):
     """Bytes that ``fn()`` holds at its peak beyond what was live before it,
-    as tracemalloc counts numpy's buffers."""
+    as tracemalloc counts numpy's buffers, plus what the conv scratch pool
+    grew by."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
+        pool_before = pool_bytes()
         fn()
-        return tracemalloc.get_traced_memory()[1] - before
+        grown = max(0, pool_bytes() - pool_before)
+        return tracemalloc.get_traced_memory()[1] - before + grown
     finally:
         if started:
             tracemalloc.stop()

@@ -381,6 +381,39 @@ class TestInfer:
         assert sum(probs) == pytest.approx(1.0, abs=1e-6)
         assert all(p >= 0 for p in probs)
 
+    def test_repeated_requests_print_the_same_bytes(self, trained, synth_tree, capsys):
+        # The later requests run their convolutions on the scratch buffers
+        # the first one left.
+        argv = ["infer", str(trained / "weights.tkfw"), str(synth_tree / "grating_1" / "00000.ppm")]
+        outs = []
+        for _ in range(3):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert "predicted " in outs[0]
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_one_parser_serves_each_command_its_own_arguments(self, trained, synth_tree,
+                                                              tmp_path, capsys):
+        weights, image = str(trained / "weights.tkfw"), str(synth_tree / "grating_0" / "00000.ppm")
+        first = tmp_path / "first"
+        assert main(["infer", weights, image, "--dump-attention", "--out", str(first),
+                     "--seed", "5"]) == 0
+        built = tkfnet.cli._build_parser.cache_info().misses
+        capsys.readouterr()
+        # Without --out the manifests go to stdout. Neither later command sees
+        # the first one's seed, and the last infer, which an inherited
+        # --dump-attention would fail for want of --out, succeeds.
+        assert main(["eval", weights, "--data", str(synth_tree)]) == 0
+        eval_out = capsys.readouterr().out
+        assert main(["infer", weights, image]) == 0
+        infer_out = capsys.readouterr().out
+        assert tkfnet.cli._build_parser.cache_info().misses == built
+        assert (first / "attention.csv").is_file()
+        assert "seed=5" in (first / "manifest.txt").read_text().splitlines()
+        assert "# command=eval" in eval_out and "# image=" not in eval_out
+        assert "# seed=5" not in eval_out and "# seed=5" not in infer_out
+        assert f"# image={image}" in infer_out
+
     def test_attention_dump(self, trained, synth_tree, tmp_path):
         image = synth_tree / "grating_0" / "00000.ppm"
         out = tmp_path / "infer"

@@ -1,16 +1,19 @@
 """Binary weights container: round-trips and strict validation."""
 
+import io
 import struct
 
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from tkfnet.model import TKFNet, model_config
 from tkfnet.tensor import ShapeError
 from tkfnet.weights import (
     MAGIC,
     VERSION,
     WeightsFormatError,
+    _parse,
     deserialize_weights,
     read_tensor,
     read_weights,
@@ -188,6 +191,68 @@ class TestStrictParsing:
     def test_missing_file_wrapped(self, tmp_path):
         with pytest.raises(WeightsFormatError, match="cannot read"):
             read_weights(tmp_path / "absent.tkfw")
+
+
+def huge_dims_container(dims):
+    bad = u32(1) + b"t" + u32(4) + b"".join(u32(d) for d in dims)
+    return MAGIC + u32(VERSION) + u32(1) + bad
+
+
+# (id, container bytes) of files the reader must refuse.
+MALFORMED = [
+    ("truncated-payload", container([record("t", np.ones((1, 2, 2, 3), dtype=np.float32))])[:-5]),
+    ("truncated-header", container([record("t", np.ones((1, 1, 1, 1), dtype=np.float32))])[:19]),
+    ("trailing-byte", container([record("t", np.ones((1, 1, 1, 2), dtype=np.float32))]) + b"\x00"),
+    ("huge-dims", huge_dims_container((65536,) * 4)),
+    ("allocatable-dims", huge_dims_container((1024, 1024, 16, 1))),
+]
+
+
+class TestReadFromDisk:
+    def test_holds_one_copy_of_the_payload(self, tmp_path):
+        # Each payload is read straight into its array: no whole-file buffer
+        # and no second copy per record.
+        path = tmp_path / "base.tkfw"
+        write_weights(path, TKFNet(model_config("base", 7), seed=0).state_arrays())
+        size = path.stat().st_size
+        assert traced_peak(lambda: read_weights(path)) < 1.25 * size
+
+    @pytest.mark.parametrize("data", [d for _, d in MALFORMED], ids=[i for i, _ in MALFORMED])
+    def test_malformed_files_fail_as_the_bytes_do(self, data, tmp_path):
+        path = tmp_path / "bad.tkfw"
+        path.write_bytes(data)
+        with pytest.raises(WeightsFormatError) as from_bytes:
+            deserialize_weights(data)
+        with pytest.raises(WeightsFormatError) as from_file:
+            read_weights(path)
+        assert str(from_file.value) == str(from_bytes.value)
+
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (1024, 1024, 16, 1)], ids=["2^64", "64MiB"])
+    def test_crafted_dims_allocate_no_payload(self, dims, tmp_path):
+        # The size check runs before the payload's array is allocated.
+        path = tmp_path / "huge.tkfw"
+        path.write_bytes(huge_dims_container(dims))
+
+        def read():
+            with pytest.raises(WeightsFormatError, match="truncated payload of 't' at byte 37"):
+                read_weights(path)
+
+        assert traced_peak(read) < 64 << 10
+
+    def test_file_that_shrinks_mid_read_is_truncated(self):
+        class ShrinksOnFirstPayload(io.BytesIO):
+            shrunk = False
+
+            def readinto(self, buffer):
+                if not self.shrunk:
+                    self.shrunk = True
+                    self.truncate(self.tell() + 2)
+                return super().readinto(buffer)
+
+        data = container([record("t", np.ones((1, 1, 1, 4), dtype=np.float32))])
+        with pytest.raises(WeightsFormatError,
+                           match="truncated payload of 't' at byte 37: need 16 bytes, have 2"):
+            _parse(ShrinksOnFirstPayload(data))
 
 
 class TestSerializeValidation:
