@@ -67,8 +67,10 @@ class ResidualBlock(Module):
         # shortcut (SkipInit, arXiv:2002.10444): with no normalization layer,
         # activations otherwise grow about 8x over the base model's six blocks
         # and training diverges. It is drawn first, so the other parameters
-        # keep their draws.
-        self.conv_b.weight.data[:] = 0
+        # keep their draws. A model about to load its weights (rng None)
+        # leaves it unwritten.
+        if rng is not None:
+            self.conv_b.weight.data[:] = 0
         if stride != 1 or cin != cout:
             self.proj = Conv(f"{name}.proj", 1, 1, cin, cout, rng, dtype)
         else:

@@ -437,7 +437,9 @@ def _adopt_run_settings(cfg, explicit, weights_path):
 
 def _load_model(weights_path, cfg):
     arrays = read_weights(weights_path)
-    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    # A record's extremes are finite only when every value is, and NaN
+    # propagates through min and max, so no bool array is built per record.
+    bad = [name for name, a in arrays.items() if not (np.isfinite(a.min()) and np.isfinite(a.max()))]
     if bad:
         raise CliError("NUMERIC", f"weights file {weights_path} has non-finite values in "
                        f"{len(bad)} of {len(arrays)} records, first {bad[0]}")

@@ -40,20 +40,20 @@ so gradients do not change.
 A convolution's forward builds its im2col patch matrix and multiplies it a
 block of whole samples at a time, each block at least ``_PATCH_BLOCK``
 elements, so it never holds the whole batch's matrix; a 1x1 stride-1
-kernel's matrix is the block of input itself. A forward that records no
-tape takes the patch buffer and the padded-input buffer from the calling
-thread's pool (``_scratch``), one buffer per role, each in its own anonymous
-``mmap`` grown to the largest block seen, and zeroes the reused pad
-buffer's border on every call; entering a ``Tape`` empties the pool. A taped
-forward and every backward allocate their own. Backward rebuilds the matrix
-for the kernel gradient through one reused buffer, a kernel row at a time
-when each kernel row's columns hold at least ``_PATCH_BLOCK`` elements, and
-whole, for one product, below that. Either way the samples are padded one of
-the forward's blocks at a time in one reused buffer, never in a padded copy
-of the batch. The input gradient is summed tap by tap into an unpadded
-buffer, which then becomes the input's gradient; each tap's product goes
-through one reused buffer. A 1x1 kernel has one tap, whose product is the
-gradient itself at stride 1; at a larger stride, when the input already
+kernel's matrix is the block of input itself. One rule, in ``_scratch``,
+decides where a convolution's patch and padded-input scratch lives: while a
+``Tape`` is active, ``_scratch`` empties the calling thread's pool and
+allocates afresh; otherwise it hands out the thread's pooled buffer for the
+role, each in its own anonymous ``mmap`` grown to the largest request seen.
+Every padded buffer has its border zeroed on every call. Backward rebuilds
+the matrix for the kernel gradient through one reused buffer, a kernel row at
+a time when each kernel row's columns hold at least ``_PATCH_BLOCK``
+elements, and whole, for one product, below that. Either way the samples are
+padded one of the forward's blocks at a time in one reused buffer, never in a
+padded copy of the batch. The input gradient is summed tap by tap into an
+unpadded buffer, which then becomes the input's gradient; each tap's product
+goes through one reused buffer. A 1x1 kernel has one tap, whose product is
+the gradient itself at stride 1; at a larger stride, when the input already
 holds a gradient, the product is added into it in place.
 
 A tape replays once. Right after a node has run, or has been skipped because
@@ -118,8 +118,8 @@ _ERF_BLOCK = 1 << 14
 # GEMM's bits was checked under OpenBLAS 0.3.31's SkylakeX and SandyBridge
 # kernels; under its Haswell and Prescott kernels it does not hold.
 _PATCH_BLOCK = 1 << 20
-# The calling thread's reused buffers of untaped convolution forwards, one
-# per role, each in its own anonymous mapping. See _scratch.
+# The calling thread's reused convolution scratch while no Tape is active, one
+# buffer per role, each in its own anonymous mapping. See _scratch.
 _POOL = threading.local()
 
 
@@ -243,9 +243,6 @@ class Tape:
         self.replayed = False
 
     def __enter__(self):
-        # A taped forward and its backward allocate their own buffers, so the
-        # thread's untaped-forward pool is handed back to the system.
-        vars(_POOL).clear()
         Tape._stack.append(self)
         return self
 
@@ -338,15 +335,21 @@ def _sorted_sum(values, center=None):
 
 
 def _scratch(role, shape, dtype):
-    """An uninitialized ``shape`` and ``dtype`` view of the calling thread's
-    buffer for ``role``, grown to the largest request seen.
+    """A ``shape`` and ``dtype`` scratch array for ``role``, uninitialized:
+    while a ``Tape`` is active, a fresh array, after the calling thread's pool
+    has been emptied; otherwise a view of the thread's pooled buffer for
+    ``role``, grown to the largest request seen.
 
-    Each buffer is an anonymous ``mmap``, outside the malloc heap: it stays
-    mapped from one untaped forward to the next, so later forwards fault
-    none of its pages in again, and emptying the pool unmaps it without
-    leaving a hole in the heap for later allocations to fragment around.
-    ``Tape.__enter__`` empties the pool.
+    Each pooled buffer is an anonymous ``mmap``, outside the malloc heap: it
+    stays mapped from one untaped forward to the next, so later forwards
+    fault none of its pages in again, and emptying the pool unmaps it
+    without leaving a hole in the heap for later allocations to fragment
+    around. Emptying it on every call while a ``Tape`` is active keeps its
+    buffers from sitting beside a taped step's own.
     """
+    if Tape.active() is not None:
+        vars(_POOL).clear()
+        return np.empty(shape, dtype=dtype)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     raw = getattr(_POOL, role, None)
     if raw is None or raw.size < nbytes:
@@ -363,7 +366,7 @@ def _conv_geometry(h, w, kh, kw, stride):
     return oh, ow, (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
 
 
-def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None, pooled=False):
+def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None):
     """The (n * oh * ow, kh * kw * cin) patch matrix of a convolution input,
     written into the caller's buffer ``out``.
 
@@ -374,9 +377,9 @@ def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None, pooled=Fa
     stride-1 kernel's matrix is the input itself, as a view. Otherwise the
     windows are copied straight into the matrix one block of
     ``_sample_blocks`` at a time, from the input itself or, when the kernel
-    pads, from one reused padded buffer sized for the largest block, whose
-    zero border is written once. With ``pooled`` that buffer is the thread's
-    ``_scratch`` "pad" buffer, whose border is zeroed on every call.
+    pads, from one padded buffer sized for the largest block, whose zero
+    border is written on every call: the ``_scratch`` "pad" buffer, fresh
+    while a ``Tape`` is active and the thread's pooled one otherwise.
     """
     n, h, w, cin = data.shape
     if (kh, kw, stride) == (1, 1, 1):
@@ -385,18 +388,13 @@ def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None, pooled=Fa
     dst = out.reshape(n, oh, ow, r1 - r0, kw, cin)
     pt, pb, pl, pr = pads
     blocks = _sample_blocks(n, oh * ow * kh * kw * cin)
-    xp = None
     if any(pads):
-        shape = (n - blocks[-1][0], pt + h + pb, pl + w + pr, cin)
-        if pooled:
-            xp = _scratch("pad", shape, data.dtype)
-            xp[:, :pt] = xp[:, pt + h :] = 0
-            xp[:, :, :pl] = xp[:, :, pl + w :] = 0
-        else:
-            xp = np.zeros(shape, dtype=data.dtype)
+        xp = _scratch("pad", (n - blocks[-1][0], pt + h + pb, pl + w + pr, cin), data.dtype)
+        xp[:, :pt] = xp[:, pt + h :] = 0
+        xp[:, :, :pl] = xp[:, :, pl + w :] = 0
     for start, stop in blocks:
         src = data[start:stop]
-        if xp is not None:
+        if any(pads):
             xp[: stop - start, pt : pt + h, pl : pl + w] = src
             src = xp[: stop - start]
         windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(1, 2))
@@ -453,22 +451,19 @@ def conv2d(x, weight, bias, stride=1):
     # The patch matrix of one block of whole samples at a time, each written
     # into the same buffer and multiplied into its rows of y. y comes after
     # the buffer: allocated first, it left the batch-1 infer bench's peak RSS
-    # 1.6 MiB higher in 12 of 16 runs on a 2-CPU host. A forward that records
-    # no tape takes the buffer, and the padded one, from the thread's pool.
-    grad_needed = x.requires_grad or weight.requires_grad or bias.requires_grad
-    pooled = not _taping(grad_needed)
+    # 1.6 MiB higher in 12 of 16 runs on a 2-CPU host. The buffer, and the
+    # padded one, come from _scratch: fresh while a Tape is active, the
+    # thread's pooled ones otherwise.
     blocks = _sample_blocks(n, rows * depth)
-    shape = ((n - blocks[-1][0]) * rows, depth)
-    buf = _scratch("patch", shape, x.dtype) if pooled else np.empty(shape, dtype=x.dtype)
+    buf = _scratch("patch", ((n - blocks[-1][0]) * rows, depth), x.dtype)
     y = np.empty((n * rows, cout), dtype=np.result_type(x.data, wmat, bias.data))
     for start, stop in blocks:
-        cols = _im2col(x.data[start:stop], kh, kw, stride, pads, oh, ow,
-                       buf[: (stop - start) * rows], pooled=pooled)
+        cols = _im2col(x.data[start:stop], kh, kw, stride, pads, oh, ow, buf[: (stop - start) * rows])
         np.matmul(cols, wmat, out=y[start * rows : stop * rows])
     y = y.reshape(n, oh, ow, cout)
     y += bias.data.reshape(cout)
 
-    out = Tensor(y, requires_grad=grad_needed)
+    out = Tensor(y, requires_grad=x.requires_grad or weight.requires_grad or bias.requires_grad)
     x_slot, w_slot, b_slot, out_slot = x._slot, weight._slot, bias._slot, out._slot
     x_data = x.data if weight.requires_grad else None
     w_data = weight.data
@@ -540,7 +535,8 @@ def _polevl(x, coefs, out):
 
 
 def _erf(x):
-    """The error function of a float32 or float64 array, in x's dtype.
+    """The error function of a float32 or float64 array, in x's dtype,
+    written over x itself when x is contiguous, and returned.
 
     A port of the Cephes ndtr.c approximation that ``scipy.special.erf``
     evaluates, with its operations in its order, in float64: x T(x^2) / U(x^2)
@@ -551,7 +547,6 @@ def _erf(x):
     faster than gathering each branch's elements.
     """
     flat = x.reshape(-1)
-    out = np.empty_like(flat)
     scratch = np.empty((4, min(flat.size, _ERF_BLOCK)))
     for start in range(0, flat.size, _ERF_BLOCK):
         xb = flat[start : start + _ERF_BLOCK]
@@ -566,8 +561,8 @@ def _erf(x):
         erfc *= _polevl(a, _ERFC_P, p)
         erfc /= _polevl(a, _ERFC_Q, p)
         np.copyto(y, np.subtract(1.0, erfc, out=erfc), where=a > 1.0)
-        np.copysign(y, xb, out=out[start : start + xb.size])
-    return out.reshape(x.shape)
+        np.copysign(y, xb, out=xb)
+    return flat.reshape(x.shape)
 
 
 def _sigmoid_values(d):
@@ -592,27 +587,34 @@ def activation(kind, x):
     warning at infinite or huge inputs: gelu(-inf) is -inf * 0, NaN.
     """
     d = x.data
+    taped = _taping(x.requires_grad)
+    # relu keeps its output, sigmoid and gelu their local derivative.
     if kind == "relu":
-        y = np.maximum(d, 0)
+        y = local = np.maximum(d, 0)
     elif kind == "sigmoid":
         y = _sigmoid_values(d)
+        local = y * (1.0 - y) if taped else None
     elif kind == "gelu":
-        cdf = 0.5 * (1.0 + _erf(d * _INV_SQRT2))
-        with np.errstate(invalid="ignore"):
-            y = d * cdf
+        # cdf = 0.5 * (1.0 + _erf(d * _INV_SQRT2)), y = d * cdf and, taped,
+        # local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI: the same
+        # operations in the same order, in place. Untaped, y overwrites cdf.
+        cdf = _erf(np.multiply(d, _INV_SQRT2))
+        cdf += 1.0
+        cdf *= 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.multiply(d, cdf, out=None if taped else cdf)
+            if taped:
+                local = np.multiply(d, -0.5)
+                local *= d
+                np.multiply(d, np.exp(local, out=local), out=local)
+                local *= _INV_SQRT_2PI
+                np.add(cdf, local, out=local)
     else:
         raise ValueError(f"unknown activation {kind!r}; expected 'relu', 'sigmoid' or 'gelu'")
     out = Tensor(y, requires_grad=x.requires_grad)
-    if not _taping(out.requires_grad):
+    if not taped:
         return out
     x_slot, out_slot = x._slot, out._slot
-    # relu keeps its output, sigmoid and gelu their local derivative.
-    local = y
-    if kind == "sigmoid":
-        local = y * (1.0 - y)
-    elif kind == "gelu":
-        with np.errstate(over="ignore", invalid="ignore"):
-            local = cdf + d * np.exp(-0.5 * d * d) * _INV_SQRT_2PI
 
     def run():
         # relu's bool mask multiplies as 1.0 or 0.0, so the products are

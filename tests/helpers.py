@@ -31,6 +31,11 @@ def scale_gradients(monkeypatch, factor):
                         lambda slot, grad, **kw: accum(slot, grad * factor, **kw))
 
 
+def empty_pool():
+    """Unmap the calling thread's conv scratch pool."""
+    vars(tkfnet.tensor._POOL).clear()
+
+
 def pool_bytes():
     """Bytes of the calling thread's conv scratch pool, which lives in
     anonymous mappings that tracemalloc does not see."""

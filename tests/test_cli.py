@@ -649,8 +649,12 @@ class TestLoadPath:
              "non-finite values in 36 of 36 records, first backbone.stem.weight"),
             (lambda arrays: arrays["dcif.head.bias"].put(1, np.inf),
              "non-finite values in 1 of 36 records, first dcif.head.bias"),
+            (lambda arrays: arrays["backbone.stem.bias"].fill(-np.inf),
+             "non-finite values in 1 of 36 records, first backbone.stem.bias"),
+            (lambda arrays: arrays["tafe.ctx_conv3.weight"].put(7, np.nan),
+             "non-finite values in 1 of 36 records, first tafe.ctx_conv3.weight"),
         ],
-        ids=["all_nan", "one_inf"],
+        ids=["all_nan", "one_inf", "all_neg_inf", "one_nan"],
     )
     def test_non_finite_weights_are_numeric_error(self, trained, synth_tree, tmp_path, capsys, command, edit, reason):
         weights = doctored_weights(trained, tmp_path, edit)

@@ -1,12 +1,13 @@
-"""The per-thread scratch pool of untaped convolution forwards."""
+"""The per-thread scratch pool that convolutions use while no Tape is active."""
 
 import threading
 
 import numpy as np
 import pytest
 
+from helpers import empty_pool
 from tkfnet.model import TKFNet, model_config
-from tkfnet.tensor import _POOL, Tape, Tensor
+from tkfnet.tensor import _POOL, Tape, Tensor, softmax_cross_entropy
 
 
 def images(n, size, seed, dtype=np.float32):
@@ -27,8 +28,7 @@ def small():
 
 def test_second_untaped_forward_reuses_the_buffers(small):
     x = images(2, 32, seed=1)
-    with Tape():
-        pass
+    empty_pool()
     small(x)
     first = dict(vars(_POOL))
     assert set(first) == {"patch", "pad"}
@@ -36,10 +36,15 @@ def test_second_untaped_forward_reuses_the_buffers(small):
     assert all(vars(_POOL)[role] is raw for role, raw in first.items())
 
 
-def test_entering_a_tape_empties_the_pool(small):
+def test_a_conv_inside_a_tape_takes_fresh_buffers_and_leaves_the_pool_empty(small):
     small(images(1, 32, seed=2))
-    assert vars(_POOL)
+    pooled = dict(vars(_POOL))
+    assert set(pooled) == {"patch", "pad"}
     with Tape():
+        # Entering the tape leaves the pool alone. The first conv empties it,
+        # and a conv that took a pooled buffer would leave it in the pool.
+        assert all(vars(_POOL)[role] is raw for role, raw in pooled.items())
+        small(images(1, 32, seed=2))
         assert not vars(_POOL)
 
 
@@ -80,3 +85,26 @@ def test_threads_running_untaped_forwards_keep_their_own_buffers(small):
     for want, got in zip(expected, results):
         assert len(got) == 16
         assert all(g.tobytes() == want.tobytes() for g in got)
+
+
+def test_backward_after_its_tape_matches_one_inside_over_a_poisoned_pool(small):
+    # A backward replayed after its ``with`` block pads its convs' inputs in
+    # the pooled buffer, here one that a larger untaped forward grew and
+    # that is then filled with 0xff bytes, NaN as float32.
+    x, labels = images(2, 32, seed=9), np.array([1, 5])
+    grads = []
+    for inside in (True, False):
+        with Tape() as tape:
+            loss = softmax_cross_entropy(small(x), labels)
+            if inside:
+                tape.backward(loss)
+        if not inside:
+            small(images(4, 64, seed=10))
+            pad = _POOL.pad
+            pad.fill(0xFF)
+            tape.backward(loss)
+            assert _POOL.pad is pad
+        grads.append([p.grad.tobytes() for p in small.parameters()])
+        for p in small.parameters():
+            p.grad = None
+    assert grads[0] == grads[1]

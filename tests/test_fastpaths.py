@@ -10,11 +10,13 @@ that releases nothing. The fast and merged paths must reproduce their float
 bits exactly, not just within a tolerance.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 import tkfnet.tensor
-from helpers import scale_gradients, traced_peak
+from helpers import empty_pool, scale_gradients, traced_peak
 from tkfnet.data import _axis_coords, _resize_bilinear
 from tkfnet.gradcheck import OP_TOLERANCE, _conv_case, grad_check
 from tkfnet.model import TKFNet, model_config
@@ -450,14 +452,14 @@ def test_conv2d_forward_holds_less_than_the_batch_patch_matrix():
     bias = Tensor(np.zeros((1, 1, 1, c), dtype=np.float32))
     patch_matrix = n * h * w * 3 * 3 * c * 4
     # From an empty pool, so that traced_peak counts the scratch it grows.
-    with Tape():
-        pass
+    empty_pool()
     assert traced_peak(lambda: conv2d(x, weight, bias)) < patch_matrix
 
 
 def strided_stage0_conv_backward_peak(x_grad):
     """tracemalloc peak of the backward of base@224's first strided 3x3 conv
-    at batch 8, and the bytes of its whole patch matrix."""
+    at batch 8, replayed inside its tape as in training, and the bytes of its
+    whole patch matrix."""
     n, h, w, c = 8, 112, 112, 32
     rng = np.random.default_rng(10)
     x = Tensor(rng.normal(size=(n, h, w, c)).astype(np.float32), requires_grad=x_grad)
@@ -465,8 +467,9 @@ def strided_stage0_conv_backward_peak(x_grad):
     bias = Tensor(np.zeros((1, 1, 1, c), dtype=np.float32), requires_grad=True)
     with Tape() as tape:
         loss = reduce_sum(conv2d(x, weight, bias, stride=2))
+        peak = traced_peak(lambda: tape.backward(loss))
     oh, ow, _ = _conv_geometry(h, w, 3, 3, 2)
-    return traced_peak(lambda: tape.backward(loss)), n * oh * ow * 3 * 3 * c * 4
+    return peak, n * oh * ow * 3 * 3 * c * 4
 
 
 def test_conv2d_backward_holds_no_padded_copy_of_the_batch():
@@ -513,6 +516,17 @@ FEATURE_SHAPE = (32, 14, 14, 256)
 def feature_map(seed, requires_grad=False):
     data = np.random.default_rng(seed).normal(size=FEATURE_SHAPE).astype(np.float32)
     return Tensor(data, requires_grad=requires_grad)
+
+
+@pytest.mark.parametrize("taped, bound", [(False, 1.5), (True, 3.5)], ids=["untaped", "taped"])
+def test_gelu_forward_builds_in_place(taped, bound):
+    # Untaped, the forward holds its output and _erf's small scratch; taped,
+    # also the local derivative and one temporary. Building each step out of
+    # place holds 2.1 and 4.0 maps.
+    x = feature_map(16, requires_grad=True)
+    with Tape() if taped else contextlib.nullcontext():
+        peak = traced_peak(lambda: activation("gelu", x))
+    assert peak < bound * x.data.nbytes
 
 
 @pytest.mark.parametrize("op, bound", [(lambda x: global_pool("avg", x), 0.5), (spatial_moments, 0.5)],

@@ -1,5 +1,8 @@
 """The finite-difference oracle itself: accuracy, fault detection, sweeps."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,25 @@ class TestOpSweep:
             case_ops |= {node.op for node in case_tape.nodes}
         assert "global_pool[max]" in model_ops
         assert model_ops <= case_ops, sorted(model_ops - case_ops)
+
+    def test_every_op_records_nodes_under_its_own_name(self):
+        # tensor.py's ops are its public functions whose code calls _record.
+        # Under a tape, the cases must record a node of every op, and each
+        # node's name must be its op's function name, optionally followed by
+        # [kind].
+        ops = {name for name, fn in vars(tkfnet.tensor).items()
+               if inspect.isfunction(fn) and fn.__module__ == tkfnet.tensor.__name__
+               and not name.startswith("_") and "_record" in fn.__code__.co_names}
+        recorded = set()
+        for builder in OP_CASES.values():
+            f, inputs = builder(np.random.default_rng(0), np.float64)
+            with Tape() as tape:
+                f(*inputs)
+            for node in tape.nodes:
+                match = re.fullmatch(r"(\w+)(\[\w+\])?", node.op)
+                assert match and match.group(1) in ops, f"{node.op} names no op of {sorted(ops)}"
+                recorded.add(match.group(1))
+        assert recorded == ops, f"ops with no recorded node: {sorted(ops - recorded)}"
 
     def test_short_sweep_within_tolerance(self):
         results = per_op_sweep(seeds=5)
