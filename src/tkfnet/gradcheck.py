@@ -11,6 +11,10 @@ from functools import partial
 
 import numpy as np
 
+from .backbone import build_backbone
+from .dcif import DCIF
+from .model import PRESETS, TKFNet, model_config
+from .tafe import TAFE
 from .tensor import (
     Tape,
     Tensor,
@@ -237,15 +241,15 @@ OP_CASES = {
 }
 
 
-def per_op_sweep(seeds=100, eps=1e-3, dtype=np.float64):
+def per_op_sweep(seeds=100):
     """Run every op case over ``seeds`` random draws; return {op: max error}."""
     results = {}
     for op_index, (name, builder) in enumerate(OP_CASES.items()):
         worst = 0.0
         for s in range(seeds):
             rng = np.random.default_rng([97, op_index, s])
-            f, inputs = builder(rng, dtype)
-            worst = max(worst, grad_check(f, inputs, eps=eps))
+            f, inputs = builder(rng, np.float64)
+            worst = max(worst, grad_check(f, inputs))
         results[name] = worst
     return results
 
@@ -263,63 +267,50 @@ def _sample_coords(inputs, count, rng, required=()):
     return coords
 
 
-def check_backbone(seed=0, eps=1e-3, param_samples=100):
-    from .backbone import build_backbone
-    from .model import PRESETS
+def _block_probe(block, shape, rng):
+    """``_probe`` of ``block`` on a (-1, 1) input, over the input and the
+    block's parameters, which are perturbed in place, where the block reads
+    them."""
+    f, (x,) = _probe(block, _draw(shape, -1.0, 1.0))(rng, np.float64)
+    return (lambda x, *_: f(x)), [x] + block.parameters()
 
-    cfg = PRESETS["small"]
-    dtype = np.float64
-    backbone = build_backbone(cfg, seed=seed, dtype=dtype)
+
+def _backbone_case(seed):
+    backbone = build_backbone(PRESETS["small"], seed=seed, dtype=np.float64)
     rng = np.random.default_rng([211, seed])
-    f, (x,) = _probe(backbone, _draw((1, 8, 8, 3), -1.0, 1.0))(rng, dtype)
-    inputs = [x] + backbone.parameters()
-    coords = [(0, j) for j in range(x.size)]
-    coords += _sample_coords(inputs, param_samples, rng)
-    # The parameters are perturbed in place, where the block reads them.
-    return grad_check(lambda x, *_: f(x), inputs, eps=eps, coords=coords)
+    f, inputs = _block_probe(backbone, (1, 8, 8, 3), rng)
+    coords = [(0, j) for j in range(inputs[0].size)] + _sample_coords(inputs, 100, rng)
+    return f, inputs, coords
 
 
-def check_tafe(seed=0, eps=1e-3):
-    from .tafe import TAFE
-
-    dtype = np.float64
-    rng = np.random.default_rng([223, seed])
-    block = TAFE(4, rng=np.random.default_rng([223, seed, 1]), dtype=dtype)
-    f, (x,) = _probe(block, _draw((1, 4, 4, 4), -1.0, 1.0))(rng, dtype)
-    return grad_check(lambda x, *_: f(x), [x] + block.parameters(), eps=eps)
+def _tafe_case(seed):
+    block = TAFE(4, rng=np.random.default_rng([223, seed, 1]), dtype=np.float64)
+    return (*_block_probe(block, (1, 4, 4, 4), np.random.default_rng([223, seed])), None)
 
 
-def check_dcif(seed=0, eps=1e-3):
-    from .dcif import DCIF
-
-    dtype = np.float64
+def _dcif_case(seed):
     rng = np.random.default_rng([227, seed])
-    block = DCIF(4, classes=3, rng=np.random.default_rng([227, seed, 1]), dtype=dtype)
-    x = Tensor(_separated(rng, (2, 2, 2, 4), dtype), requires_grad=True)
+    block = DCIF(4, classes=3, rng=np.random.default_rng([227, seed, 1]), dtype=np.float64)
+    x = Tensor(_separated(rng, (2, 2, 2, 4), np.float64), requires_grad=True)
     labels = rng.integers(0, 3, size=2)
 
     def f(*_):
         logits, _gate = block(x)
         return softmax_cross_entropy(logits, labels)
 
-    return grad_check(f, [x] + block.parameters(), eps=eps)
+    return f, [x] + block.parameters(), None
 
 
-def check_loss(seed=0, eps=1e-3):
-    rng = np.random.default_rng([229, seed])
-    f, inputs = _case_cross_entropy(rng, np.float64)
-    return grad_check(f, inputs, eps=eps)
+def _loss_case(seed):
+    return (*_case_cross_entropy(np.random.default_rng([229, seed]), np.float64), None)
 
 
-def check_model(seed=0, eps=1e-3, samples=50, input_hw=16):
-    """Full-network probe: sampled parameter coordinates against finite
-    differences, always including the two descriptor scalars."""
-    from .model import TKFNet, model_config
-
-    dtype = np.float64
-    model = TKFNet(model_config("small"), seed=seed, dtype=dtype)
+def _model_case(seed):
+    # Sampled parameter coordinates of the whole network on a 16x16 image,
+    # always including the two descriptor scalars.
+    model = TKFNet(model_config("small"), seed=seed, dtype=np.float64)
     rng = np.random.default_rng([233, seed])
-    x = Tensor(_uniform(rng, (1, input_hw, input_hw, 3), dtype, -1.0, 1.0))
+    x = Tensor(_uniform(rng, (1, 16, 16, 3), np.float64, -1.0, 1.0))
     labels = rng.integers(0, model.config.classes, size=1)
 
     def f(*_):
@@ -327,39 +318,43 @@ def check_model(seed=0, eps=1e-3, samples=50, input_hw=16):
 
     params = model.parameters()
     names = [p.name for p in params]
-    required = [
-        (names.index("tafe.alpha"), 0),
-        (names.index("tafe.beta"), 0),
-    ]
-    coords = _sample_coords(params, samples, rng, required=required)
-    return grad_check(f, params, eps=eps, coords=coords)
+    required = [(names.index("tafe.alpha"), 0), (names.index("tafe.beta"), 0)]
+    return f, params, _sample_coords(params, 50, rng, required=required)
 
 
-def suite_checks(seed=0, op_seeds=100, model_samples=50):
-    """Ordered (name, thunk, tolerance) triples covering every module."""
-    return [
-        ("tensor-core", lambda: max(per_op_sweep(seeds=op_seeds).values()), OP_TOLERANCE),
-        ("backbone", lambda: check_backbone(seed), MODULE_TOLERANCE),
-        ("tafe", lambda: check_tafe(seed), MODULE_TOLERANCE),
-        ("dcif", lambda: check_dcif(seed), MODULE_TOLERANCE),
-        ("train", lambda: check_loss(seed), OP_TOLERANCE),
-        ("full-model", lambda: check_model(seed, samples=model_samples), MODULE_TOLERANCE),
-    ]
+# The module rows of the suite, in order: name -> (case, tolerance). A case
+# maps a seed to (f, inputs, coords), the arguments of ``grad_check``, with
+# coords None to probe every element.
+MODULE_CASES = {
+    "backbone": (_backbone_case, MODULE_TOLERANCE),
+    "tafe": (_tafe_case, MODULE_TOLERANCE),
+    "dcif": (_dcif_case, MODULE_TOLERANCE),
+    "train": (_loss_case, OP_TOLERANCE),
+    "full-model": (_model_case, MODULE_TOLERANCE),
+}
 
 
-def run_suite(seed=0, op_seeds=100, model_samples=50, progress=None, fail_fast=False):
-    """Per-module maximum relative errors with their tolerances.
+def check_module(name, seed=0):
+    """The worst relative error of ``MODULE_CASES[name]`` drawn at ``seed``."""
+    f, inputs, coords = MODULE_CASES[name][0](seed)
+    return grad_check(f, inputs, coords=coords)
 
-    ``progress`` is called with (name, error, tolerance) after each module.
-    With ``fail_fast`` the suite stops at the first module out of tolerance
-    and returns the partial results.
+
+def run_suite(seed=0, op_seeds=100, progress=None):
+    """{row: (maximum relative error, tolerance)}: the op sweep as
+    ``tensor-core``, then every ``MODULE_CASES`` row, up to and including the
+    first row out of tolerance.
+
+    ``progress`` is called with (name, error, tolerance) after each row.
     """
+    rows = [("tensor-core", lambda: max(per_op_sweep(op_seeds).values()), OP_TOLERANCE)]
+    rows += [(name, partial(check_module, name, seed), tol) for name, (_, tol) in MODULE_CASES.items()]
     results = {}
-    for name, thunk, tolerance in suite_checks(seed, op_seeds, model_samples):
-        err = thunk()
+    for name, check, tolerance in rows:
+        err = check()
         results[name] = (err, tolerance)
         if progress is not None:
             progress(name, err, tolerance)
-        if fail_fast and not err <= tolerance:
+        if not err <= tolerance:
             break
     return results

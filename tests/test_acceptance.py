@@ -14,7 +14,7 @@ import pytest
 from helpers import scalar_tensor
 from tkfnet.cli import main as cli_main
 from tkfnet.data import synth_dataset
-from tkfnet.gradcheck import check_model, per_op_sweep
+from tkfnet.gradcheck import check_module, per_op_sweep
 from tkfnet.model import TKFNet, model_config
 from tkfnet.tafe import TAFE
 from tkfnet.dcif import DCIF
@@ -45,7 +45,7 @@ def report(number, ok, detail=""):
 def test_criterion_1_per_op_gradient_oracle():
     # Central differences at eps 1e-3, 100 seeds per op, small tensors.
     start = time.perf_counter()
-    results = per_op_sweep(seeds=100, eps=1e-3)
+    results = per_op_sweep(seeds=100)
     elapsed = time.perf_counter() - start
     worst_op = max(results, key=results.get)
     worst = results[worst_op]
@@ -60,7 +60,7 @@ def test_criterion_2_full_model_gradient_oracle():
     # 50 sampled parameter coordinates on the small model at 16x16x3,
     # always including the two descriptor fusion scalars.
     start = time.perf_counter()
-    err = check_model(seed=0, eps=1e-3, samples=50, input_hw=16)
+    err = check_module("full-model", seed=0)
     elapsed = time.perf_counter() - start
     report(2, err <= 1e-2 and elapsed < 300.0, f"max rel err {err:.2e}, {elapsed:.1f}s")
 

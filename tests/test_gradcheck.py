@@ -10,16 +10,14 @@ import tkfnet.tensor
 from helpers import scale_gradients
 from tkfnet.gradcheck import (
     GradCheckError,
+    MODULE_CASES,
     MODULE_TOLERANCE,
     OP_CASES,
     OP_TOLERANCE,
-    check_dcif,
-    check_loss,
-    check_tafe,
+    check_module,
     grad_check,
     per_op_sweep,
     run_suite,
-    suite_checks,
 )
 from tkfnet.model import TKFNet, model_config
 from tkfnet.tensor import Tape, Tensor, activation, hadamard, reduce_sum, softmax_cross_entropy
@@ -184,22 +182,21 @@ class TestOpSweep:
 
 class TestModuleChecks:
     def test_tafe_block(self):
-        assert check_tafe(seed=1) <= MODULE_TOLERANCE
+        assert check_module("tafe", seed=1) <= MODULE_TOLERANCE
 
     def test_dcif_block(self):
-        assert check_dcif(seed=1) <= MODULE_TOLERANCE
+        assert check_module("dcif", seed=1) <= MODULE_TOLERANCE
 
     def test_loss(self):
-        assert check_loss(seed=1) <= OP_TOLERANCE
+        assert check_module("train", seed=1) <= OP_TOLERANCE
 
 
 class TestSuite:
     def test_module_roster_and_order(self):
-        names = [name for name, _, _ in suite_checks()]
-        assert names == ["tensor-core", "backbone", "tafe", "dcif", "train", "full-model"]
+        assert list(MODULE_CASES) == ["backbone", "tafe", "dcif", "train", "full-model"]
 
     def test_full_suite_passes_with_reduced_budget(self):
-        results = run_suite(op_seeds=3, model_samples=10)
+        results = run_suite(op_seeds=3)
         assert set(results) == {
             "tensor-core", "backbone", "tafe", "dcif", "train", "full-model",
         }
@@ -208,14 +205,14 @@ class TestSuite:
 
     def test_progress_callback_sees_each_module(self):
         seen = []
-        run_suite(op_seeds=2, model_samples=5, progress=lambda *args: seen.append(args))
+        run_suite(op_seeds=2, progress=lambda *args: seen.append(args))
         assert [name for name, _, _ in seen] == [
             "tensor-core", "backbone", "tafe", "dcif", "train", "full-model",
         ]
 
     def test_fail_fast_stops_at_first_offender(self, monkeypatch):
         scale_gradients(monkeypatch, 1.5)
-        results = run_suite(op_seeds=1, model_samples=5, fail_fast=True)
+        results = run_suite(op_seeds=1)
         assert list(results) == ["tensor-core"]
         err, tol = results["tensor-core"]
         assert err > tol
