@@ -32,6 +32,10 @@ from .tensor import (
 ERROR_FLOOR = 1e-8
 OP_TOLERANCE = 1e-3
 MODULE_TOLERANCE = 1e-2
+# The module cases' central-difference step. A step of 1e-3 crosses a relu or
+# max-pool kink somewhere in a whole network at some seeds; at 1e-5 in
+# float64 the difference quotient still keeps about ten significant digits.
+MODULE_EPS = 1e-5
 
 
 class GradCheckError(RuntimeError):
@@ -337,7 +341,7 @@ MODULE_CASES = {
 def check_module(name, seed=0):
     """The worst relative error of ``MODULE_CASES[name]`` drawn at ``seed``."""
     f, inputs, coords = MODULE_CASES[name][0](seed)
-    return grad_check(f, inputs, coords=coords)
+    return grad_check(f, inputs, eps=MODULE_EPS, coords=coords)
 
 
 def run_suite(seed=0, op_seeds=100, progress=None):
