@@ -13,6 +13,7 @@ import numpy as np
 
 from .backbone import build_backbone
 from .dcif import DCIF
+from .layers import he_normal
 from .model import PRESETS, TKFNet, model_config
 from .tafe import TAFE
 from .tensor import (
@@ -279,8 +280,17 @@ def _block_probe(block, shape, rng):
     return (lambda x, *_: f(x)), [x] + block.parameters()
 
 
+def _live_branches(module, rng):
+    # Each residual block's conv_b starts at zero, so the branch is 0 and its
+    # conv_a gets no gradient at all; draw conv_b He-normal instead.
+    for p in module.parameters():
+        if p.name.endswith(".conv_b.weight"):
+            p.data[:] = he_normal(rng, p.shape, np.prod(p.shape[:3]), p.dtype)
+
+
 def _backbone_case(seed):
     backbone = build_backbone(PRESETS["small"], seed=seed, dtype=np.float64)
+    _live_branches(backbone, np.random.default_rng([211, seed, 1]))
     rng = np.random.default_rng([211, seed])
     f, inputs = _block_probe(backbone, (1, 8, 8, 3), rng)
     coords = [(0, j) for j in range(inputs[0].size)] + _sample_coords(inputs, 100, rng)
@@ -313,6 +323,7 @@ def _model_case(seed):
     # Sampled parameter coordinates of the whole network on a 16x16 image,
     # always including the two descriptor scalars.
     model = TKFNet(model_config("small"), seed=seed, dtype=np.float64)
+    _live_branches(model, np.random.default_rng([233, seed, 1]))
     rng = np.random.default_rng([233, seed])
     x = Tensor(_uniform(rng, (1, 16, 16, 3), np.float64, -1.0, 1.0))
     labels = rng.integers(0, model.config.classes, size=1)

@@ -11,6 +11,7 @@ from helpers import scale_gradients
 from tkfnet.gradcheck import (
     GradCheckError,
     MODULE_CASES,
+    MODULE_EPS,
     MODULE_TOLERANCE,
     OP_CASES,
     OP_TOLERANCE,
@@ -20,7 +21,15 @@ from tkfnet.gradcheck import (
     run_suite,
 )
 from tkfnet.model import TKFNet, model_config
-from tkfnet.tensor import Tape, Tensor, activation, hadamard, reduce_sum, softmax_cross_entropy
+from tkfnet.tensor import (
+    Parameter,
+    Tape,
+    Tensor,
+    activation,
+    hadamard,
+    reduce_sum,
+    softmax_cross_entropy,
+)
 
 
 def quadratic_case(seed=0):
@@ -190,11 +199,35 @@ class TestModuleChecks:
     def test_loss(self):
         assert check_module("train", seed=1) <= OP_TOLERANCE
 
-    @pytest.mark.parametrize("seed", [3, 6])
+    @pytest.mark.parametrize("seed", [3, 5, 6])
     def test_full_model_passes_where_a_coarse_step_crossed_a_kink(self, seed):
-        # At a step of 1e-3 this row read 4.85e-2 and 5.71e-2 at these seeds,
-        # where the probe crossed a relu or max-pool kink.
+        # At a step of 1e-3 this row read 4.85e-2, 1.00 and 5.71e-2 at these
+        # seeds, where the probe crossed a relu or max-pool kink. At seed 5 a
+        # zero branch put a relu exactly on its kink, at any step.
         assert check_module("full-model", seed) <= MODULE_TOLERANCE
+
+    @pytest.mark.parametrize("name", ["backbone", "full-model"])
+    def test_every_parameter_gets_a_nonzero_gradient(self, name):
+        # With every conv_b at zero, as the model starts, each conv_a's
+        # gradient is exactly 0 and no probe of it can fail.
+        f, inputs, _ = MODULE_CASES[name][0](0)
+        with Tape() as tape:
+            out = f(*inputs)
+        tape.backward(out)
+        params = [p for p in inputs if isinstance(p, Parameter)]
+        assert [p.name for p in params if p.grad is None or not p.grad.any()] == []
+        assert sum(".conv_a." in p.name for p in params) == 4
+
+    def test_a_fault_in_conv_a_alone_fails_the_full_model_case(self, monkeypatch):
+        f, inputs, coords = MODULE_CASES["full-model"][0](0)
+        faulty = {p._slot for p in inputs if ".conv_a." in p.name}
+        accum = tkfnet.tensor._accum
+
+        def scaled(slot, grad, **kw):
+            accum(slot, grad * 1.5 if slot in faulty else grad, **kw)
+
+        monkeypatch.setattr(tkfnet.tensor, "_accum", scaled)
+        assert grad_check(f, inputs, eps=MODULE_EPS, coords=coords) > MODULE_TOLERANCE
 
 
 class TestSuite:
