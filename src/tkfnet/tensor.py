@@ -15,10 +15,10 @@ alone: the error function behind gelu, ``_erf``, ports the Cephes rational
 approximation that ``scipy.special.erf`` evaluates and gives scipy's float32
 bits.
 
-Differentiable calls record onto the innermost active ``Tape``. Replaying a
-tape visits operations in exact reverse execution order and accumulates into
-``.grad`` buffers, so a tensor consumed twice receives the sum of both
-contributions.
+Differentiable calls record onto the innermost active ``Tape`` of the
+calling thread. Replaying a tape visits operations in exact reverse execution
+order and accumulates into ``.grad`` buffers, so a tensor consumed twice
+receives the sum of both contributions.
 
 A tensor's gradient lives apart from its value, in a small ``_GradSlot``
 that holds the shape, dtype, ``requires_grad`` flag and ``grad`` buffer; the
@@ -41,9 +41,9 @@ A convolution's forward builds its im2col patch matrix and multiplies it a
 block of whole samples at a time, each block at least ``_PATCH_BLOCK``
 elements, so it never holds the whole batch's matrix; a 1x1 stride-1
 kernel's matrix is the block of input itself. One rule, in ``_scratch``,
-decides where a convolution's patch and padded-input scratch lives: while a
-``Tape`` is active, ``_scratch`` empties the calling thread's pool and
-allocates afresh; otherwise it hands out the thread's pooled buffer for the
+decides where a convolution's patch and padded-input scratch lives: while the
+calling thread has a ``Tape`` active, ``_scratch`` empties that thread's pool
+and allocates afresh; otherwise it hands out the thread's pooled buffer for the
 role, each in its own anonymous ``mmap`` grown to the largest request seen.
 Every padded buffer has its border zeroed on every call. Backward rebuilds
 the matrix for the kernel gradient through one reused buffer, a kernel row at
@@ -121,6 +121,16 @@ _PATCH_BLOCK = 1 << 20
 # The calling thread's reused convolution scratch while no Tape is active, one
 # buffer per role, each in its own anonymous mapping. See _scratch.
 _POOL = threading.local()
+
+
+class _TapeStack(threading.local):
+    """The calling thread's entered tapes, innermost last."""
+
+    def __init__(self):
+        self.tapes = []
+
+
+_TAPES = _TapeStack()
 
 
 class ShapeError(ValueError):
@@ -232,27 +242,28 @@ class Tape:
     ``backward`` replays the record once, in exact reverse execution order,
     and releases each node as soon as it has run: its closure, its outputs
     and their gradients. ``nodes`` keeps each node's ``op`` name, so the
-    record of which ops ran outlives the replay.
+    record of which ops ran outlives the replay. Each thread has its own
+    stack of entered tapes: ops record onto the innermost active tape of the
+    calling thread.
     """
-
-    # The entered tapes, innermost last.
-    _stack = []
 
     def __init__(self):
         self.nodes = []
         self.replayed = False
 
     def __enter__(self):
-        Tape._stack.append(self)
+        _TAPES.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        Tape._stack.pop()
+        _TAPES.tapes.pop()
         return False
 
-    @classmethod
-    def active(cls):
-        return cls._stack[-1] if cls._stack else None
+    @staticmethod
+    def active():
+        """The innermost active tape of the calling thread, or None."""
+        tapes = _TAPES.tapes
+        return tapes[-1] if tapes else None
 
     def backward(self, loss):
         """Seed d(loss)/d(loss) = 1 and accumulate gradients into the leaves.
@@ -336,8 +347,8 @@ def _sorted_sum(values, center=None):
 
 def _scratch(role, shape, dtype):
     """A ``shape`` and ``dtype`` scratch array for ``role``, uninitialized:
-    while a ``Tape`` is active, a fresh array, after the calling thread's pool
-    has been emptied; otherwise a view of the thread's pooled buffer for
+    while the calling thread has a ``Tape`` active, a fresh array, after the
+    thread's pool has been emptied; otherwise a view of the thread's pooled buffer for
     ``role``, grown to the largest request seen.
 
     Each pooled buffer is an anonymous ``mmap``, outside the malloc heap: it

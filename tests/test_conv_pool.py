@@ -87,6 +87,36 @@ def test_threads_running_untaped_forwards_keep_their_own_buffers(small):
         assert all(g.tobytes() == want.tobytes() for g in got)
 
 
+def test_a_tape_open_on_another_thread_leaves_this_threads_forwards_alone(small):
+    # Another thread sits inside ``with Tape()`` while this one runs untaped
+    # forwards: they record nothing onto that tape and reuse this thread's
+    # pooled buffers.
+    entered, release = threading.Event(), threading.Event()
+    tapes = []
+
+    def hold():
+        with Tape() as tape:
+            tapes.append(tape)
+            entered.set()
+            release.wait(timeout=60)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert entered.wait(timeout=60)
+        x = images(1, 32, seed=11)
+        empty_pool()
+        small(x)
+        pooled = dict(vars(_POOL))
+        small(x)
+    finally:
+        release.set()
+        holder.join()
+    assert [node.op for node in tapes[0].nodes] == []
+    assert set(pooled) == {"patch", "pad"}
+    assert all(vars(_POOL)[role] is raw for role, raw in pooled.items())
+
+
 def test_backward_after_its_tape_matches_one_inside_over_a_poisoned_pool(small):
     # A backward replayed after its ``with`` block pads its convs' inputs in
     # the pooled buffer, here one that a larger untaped forward grew and
