@@ -14,6 +14,7 @@ import tkfnet.cli
 from helpers import scale_gradients
 from tkfnet.cli import main
 from tkfnet.data import decode_ppm, load_image_folder
+from tkfnet.gradcheck import MODULE_CASES
 from tkfnet.weights import read_weights, serialize_weights, write_tensor, write_weights
 
 TRAIN_CONFIG = """\
@@ -685,7 +686,7 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--seed", "0"])
         assert code == 0
         out = capsys.readouterr().out
-        for name in ("tensor-core", "backbone", "tafe", "dcif", "train", "full-model"):
+        for name in ["tensor-core", *MODULE_CASES]:
             assert f"{name} max_rel_err" in out
         assert "gradient check passed" in out
 

@@ -190,14 +190,9 @@ class TestOpSweep:
 
 
 class TestModuleChecks:
-    def test_tafe_block(self):
-        assert check_module("tafe", seed=1) <= MODULE_TOLERANCE
-
-    def test_dcif_block(self):
-        assert check_module("dcif", seed=1) <= MODULE_TOLERANCE
-
-    def test_loss(self):
-        assert check_module("train", seed=1) <= OP_TOLERANCE
+    @pytest.mark.parametrize("name", list(MODULE_CASES))
+    def test_case_within_tolerance(self, name):
+        assert check_module(name, seed=1) <= MODULE_CASES[name][1]
 
     @pytest.mark.parametrize("seed", [3, 5, 6])
     def test_full_model_passes_where_a_coarse_step_crossed_a_kink(self, seed):
@@ -230,24 +225,23 @@ class TestModuleChecks:
         assert grad_check(f, inputs, eps=MODULE_EPS, coords=coords) > MODULE_TOLERANCE
 
 
+ROSTER = ["tensor-core", *MODULE_CASES]
+
+
 class TestSuite:
     def test_module_roster_and_order(self):
-        assert list(MODULE_CASES) == ["backbone", "tafe", "dcif", "train", "full-model"]
+        assert ROSTER == ["tensor-core", "backbone", "tafe", "dcif", "train", "full-model"]
 
     def test_full_suite_passes_with_reduced_budget(self):
         results = run_suite(op_seeds=3)
-        assert set(results) == {
-            "tensor-core", "backbone", "tafe", "dcif", "train", "full-model",
-        }
+        assert list(results) == ROSTER
         for name, (err, tol) in results.items():
             assert err <= tol, f"{name}: {err} > {tol}"
 
     def test_progress_callback_sees_each_module(self):
         seen = []
         run_suite(op_seeds=2, progress=lambda *args: seen.append(args))
-        assert [name for name, _, _ in seen] == [
-            "tensor-core", "backbone", "tafe", "dcif", "train", "full-model",
-        ]
+        assert [name for name, _, _ in seen] == ROSTER
 
     def test_fail_fast_stops_at_first_offender(self, monkeypatch):
         scale_gradients(monkeypatch, 1.5)

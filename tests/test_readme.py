@@ -1,5 +1,6 @@
 """The README's library example runs as written, and its CLI reference
-lists exactly the settings and flags that ``tkfnet.cli`` declares."""
+lists exactly the settings and flags that ``tkfnet.cli`` declares and the
+rows that ``tkfnet gradcheck`` runs."""
 
 import argparse
 import re
@@ -7,6 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from tkfnet.cli import CONFIG_PARSERS, RunConfig, _build_parser
+from tkfnet.gradcheck import MODULE_CASES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -65,3 +67,8 @@ def test_flag_lists_match_the_parsers():
     assert backticked_flags(re.search(r"All accept (.*?)\.\n", cli, re.S).group(1)) == common
     train = cli.split("### train", 1)[1].split("###", 1)[0]
     assert backticked_flags(re.search(r"Flags: (.*?)\. ", train, re.S).group(1)) == flags["train"] - common
+
+
+def test_gradcheck_rows_are_the_suite_roster():
+    section = README.read_text().split("### gradcheck", 1)[1].split("\n### ", 1)[0]
+    assert re.findall(r"^- `([\w-]+)`", section, re.M) == ["tensor-core", *MODULE_CASES]
