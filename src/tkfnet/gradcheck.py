@@ -1,10 +1,12 @@
 """Central finite-difference verification of the differentiation tape.
 
 ``grad_check`` compares tape gradients of a scalar computation against
-two-sided finite differences. The sweep helpers build randomized probe cases
-for every differentiable op and for each network block; they run in float64
-so the difference quotients keep enough significant digits to certify the
-1e-3 and 1e-2 tolerances.
+two-sided finite differences. Two tables of randomized probe cases feed it:
+``OP_CASES``, one case per differentiable op, swept over many draws at a step
+of 1e-3, and ``MODULE_CASES``, one row per network block, the loss and the
+whole network, at ``MODULE_EPS``. ``run_suite`` runs the sweep, then the
+rows. The cases run in float64 so the difference quotients keep enough
+significant digits to certify the 1e-3 and 1e-2 tolerances.
 """
 
 from functools import partial
@@ -260,12 +262,10 @@ def per_op_sweep(seeds=100):
 
 
 def _sample_coords(inputs, count, rng, required=()):
-    sizes = [t.size for t in inputs]
-    offsets = np.cumsum([0] + sizes)
-    total = offsets[-1]
+    offsets = np.cumsum([0] + [t.size for t in inputs])
     coords = list(required)
     want = max(count - len(coords), 0)
-    picks = rng.choice(total, size=min(want, total), replace=False)
+    picks = rng.choice(offsets[-1], size=min(want, offsets[-1]), replace=False)
     for flat in sorted(int(p) for p in picks):
         i = int(np.searchsorted(offsets, flat, side="right")) - 1
         coords.append((i, flat - int(offsets[i])))
@@ -332,8 +332,7 @@ def _model_case(seed):
         return softmax_cross_entropy(model(x), labels)
 
     params = model.parameters()
-    names = [p.name for p in params]
-    required = [(names.index("tafe.alpha"), 0), (names.index("tafe.beta"), 0)]
+    required = [(i, 0) for i, p in enumerate(params) if p.name in ("tafe.alpha", "tafe.beta")]
     return f, params, _sample_coords(params, 50, rng, required=required)
 
 

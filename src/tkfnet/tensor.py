@@ -124,10 +124,10 @@ _POOL = threading.local()
 
 
 class _TapeStack(threading.local):
-    """The calling thread's entered tapes, innermost last."""
+    """The calling thread's entered tapes, innermost last, as ``stack``."""
 
     def __init__(self):
-        self.tapes = []
+        self.stack = []
 
 
 _TAPES = _TapeStack()
@@ -252,18 +252,18 @@ class Tape:
         self.replayed = False
 
     def __enter__(self):
-        _TAPES.tapes.append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPES.tapes.pop()
+        _TAPES.stack.pop()
         return False
 
     @staticmethod
     def active():
         """The innermost active tape of the calling thread, or None."""
-        tapes = _TAPES.tapes
-        return tapes[-1] if tapes else None
+        stack = _TAPES.stack
+        return stack[-1] if stack else None
 
     def backward(self, loss):
         """Seed d(loss)/d(loss) = 1 and accumulate gradients into the leaves.
