@@ -35,9 +35,10 @@ from .tensor import (
 ERROR_FLOOR = 1e-8
 OP_TOLERANCE = 1e-3
 MODULE_TOLERANCE = 1e-2
-# The module cases' central-difference step. A step of 1e-3 crosses a relu or
-# max-pool kink somewhere in a whole network at some seeds; at 1e-5 in
-# float64 the difference quotient still keeps about ten significant digits.
+# The module rows' central-difference step. A step of 1e-3 crosses a relu or
+# max-pool kink somewhere in a whole network at some seeds. In float64, the
+# round-off of a quotient at 1e-5 stays far below the tolerances, except on
+# gradients near zero.
 MODULE_EPS = 1e-5
 
 
@@ -320,8 +321,6 @@ def _loss_case(seed):
 
 
 def _model_case(seed):
-    # Sampled parameter coordinates of the whole network on a 16x16 image,
-    # always including the two descriptor scalars.
     model = TKFNet(model_config("small"), seed=seed, dtype=np.float64)
     _live_branches(model, np.random.default_rng([233, seed, 1]))
     rng = np.random.default_rng([233, seed])
