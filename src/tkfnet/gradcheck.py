@@ -2,11 +2,12 @@
 
 ``grad_check`` compares tape gradients of a scalar computation against
 two-sided finite differences. Two tables of randomized probe cases feed it:
-``OP_CASES``, one case per differentiable op, swept over many draws at a step
-of 1e-3, and ``MODULE_CASES``, one row per network block, the loss and the
-whole network, at ``MODULE_EPS``. ``run_suite`` runs the sweep, then the
-rows. The cases run in float64 so the difference quotients keep enough
-significant digits to certify the 1e-3 and 1e-2 tolerances.
+``OP_CASES``, cases named ``<op>`` or ``<op>_<variant>`` after the ops of
+``tensor.OPS``, swept over many draws at a step of 1e-3, and
+``MODULE_CASES``, one row per network block, the loss and the whole network,
+at ``MODULE_EPS``. ``run_suite`` runs the sweep, then the rows. The cases
+run in float64 so the difference quotients keep enough significant digits to
+certify the 1e-3 and 1e-2 tolerances.
 """
 
 from functools import partial
@@ -224,9 +225,9 @@ OP_CASES = {
     "conv2d": _conv_case(2, (1, 3, 3, 2)),
     # A fully connected layer: a 1x1 conv on a (n, 1, 1, cin) vector.
     "conv2d_1x1_vector": _conv_case(1, (3, 1, 1, 4), stride=1),
-    "relu": _probe(partial(activation, "relu"), _draw(_MAP, avoid=(0.0, 0.05))),
-    "sigmoid": _probe(partial(activation, "sigmoid"), _draw(_MAP)),
-    "gelu": _probe(partial(activation, "gelu"), _draw(_MAP, avoid=(-0.7518, 0.15))),
+    "activation_relu": _probe(partial(activation, "relu"), _draw(_MAP, avoid=(0.0, 0.05))),
+    "activation_sigmoid": _probe(partial(activation, "sigmoid"), _draw(_MAP)),
+    "activation_gelu": _probe(partial(activation, "gelu"), _draw(_MAP, avoid=(-0.7518, 0.15))),
     "spatial_moments": _case_spatial_moments,
     "global_pool_avg": _probe(partial(global_pool, "avg"), _draw(_POOLED)),
     "global_pool_max": _probe(partial(global_pool, "max"), _spread(_POOLED)),

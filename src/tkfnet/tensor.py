@@ -15,10 +15,12 @@ alone: the error function behind gelu, ``_erf``, ports the Cephes rational
 approximation that ``scipy.special.erf`` evaluates and gives scipy's float32
 bits.
 
-Differentiable calls record onto the innermost active ``Tape`` of the
-calling thread. Replaying a tape visits operations in exact reverse execution
-order and accumulates into ``.grad`` buffers, so a tensor consumed twice
-receives the sum of both contributions.
+The differentiable ops, registered in ``OPS`` by ``@_op``, record onto the
+innermost active ``Tape`` of the calling thread, in nodes named after the op
+plus any kind, such as ``conv2d`` or ``activation[relu]``. Replaying a tape
+visits operations in exact reverse execution order and accumulates into
+``.grad`` buffers, so a tensor consumed twice receives the sum of both
+contributions.
 
 A tensor's gradient lives apart from its value, in a small ``_GradSlot``
 that holds the shape, dtype, ``requires_grad`` flag and ``grad`` buffer; the
@@ -121,6 +123,8 @@ _PATCH_BLOCK = 1 << 20
 # The calling thread's reused convolution scratch while no Tape is active, one
 # buffer per role, each in its own anonymous mapping. See _scratch.
 _POOL = threading.local()
+# The differentiable ops, name -> function, in the order they are defined.
+OPS = {}
 
 
 class _TapeStack(threading.local):
@@ -285,9 +289,18 @@ class Tape:
             node.release()
 
 
-def _record(op, outs, run):
+def _op(fn):
+    """Register ``fn`` in ``OPS`` under its name and return it unchanged."""
+    OPS[fn.__name__] = fn
+    return fn
+
+
+def _record(outs, run, kind=None):
+    """Keep ``run``, the backward of ``outs``, on the active tape, named after
+    the op whose body defines ``run``, plus ``[kind]`` when given."""
     tape = Tape.active()
     if tape is not None and any(out.requires_grad for out in outs):
+        op = run.__qualname__.partition(".")[0] + ("" if kind is None else f"[{kind}]")
         tape.nodes.append(_TapeNode(op, tuple(out._slot for out in outs), run))
 
 
@@ -435,6 +448,7 @@ def _sample_blocks(n, per_sample):
     return [(b * step, n if b == blocks - 1 else (b + 1) * step) for b in range(blocks)]
 
 
+@_op
 def conv2d(x, weight, bias, stride=1):
     """2-D convolution over (n, h, w, c) with kernel (kh, kw, cin, cout),
     zero-padded "same": the output is (n, ceil(h/stride), ceil(w/stride), cout).
@@ -531,7 +545,7 @@ def conv2d(x, weight, bias, stride=1):
                     gx[:, in_h, in_w] += gtap[:, out_h, out_w]
             _accum(x_slot, gx, owned=True)
 
-    _record("conv2d", (out,), run)
+    _record((out,), run)
     return out
 
 
@@ -589,6 +603,7 @@ def _sigmoid_values(d):
     return y
 
 
+@_op
 def activation(kind, x):
     """Elementwise nonlinearity: 'relu', 'sigmoid' or 'gelu'.
 
@@ -636,10 +651,11 @@ def activation(kind, x):
         np.multiply(g, local > 0 if kind == "relu" else local, out=g)
         _accum(x_slot, g, owned=True)
 
-    _record(f"activation[{kind}]", (out,), run)
+    _record((out,), run, kind)
     return out
 
 
+@_op
 def spatial_moments(x):
     """Per-channel mean and population variance over the spatial extent.
 
@@ -678,10 +694,11 @@ def spatial_moments(x):
             gx[b] = row
         _accum(x_slot, gx.reshape(n, h, w, c), owned=True)
 
-    _record("spatial_moments", (mean, var), run)
+    _record((mean, var), run)
     return mean, var
 
 
+@_op
 def global_pool(kind, x):
     """Global spatial pooling of (n, h, w, c) to (n, 1, 1, c).
 
@@ -717,10 +734,11 @@ def global_pool(kind, x):
             np.put_along_axis(gx.reshape(n, count, c), idx, g, axis=1)
             _accum(x_slot, gx, owned=True)
 
-    _record(f"global_pool[{kind}]", (out,), run)
+    _record((out,), run, kind)
     return out
 
 
+@_op
 def hadamard(x, y):
     """Elementwise product of x with a y whose every axis has x's size or 1,
     such as a per-channel vector (n, 1, 1, c) or a scalar (1, 1, 1, 1),
@@ -755,10 +773,11 @@ def hadamard(x, y):
         if y_data is not None:
             _accum(x_slot, np.multiply(g, y_data, out=g), owned=True)
 
-    _record("hadamard", (out,), run)
+    _record((out,), run)
     return out
 
 
+@_op
 def add(x, y):
     """Elementwise sum of two same-shape tensors."""
     if x.shape != y.shape:
@@ -771,10 +790,11 @@ def add(x, y):
         _accum(y_slot, g)
         _accum(x_slot, g, owned=True)
 
-    _record("add", (out,), run)
+    _record((out,), run)
     return out
 
 
+@_op
 def concat_channels(a, b):
     """Concatenate two tensors along the channel axis."""
     na, ha, wa, ca = a.shape
@@ -794,10 +814,11 @@ def concat_channels(a, b):
         _accum(a_slot, g[..., :ca])
         _accum(b_slot, g[..., ca:])
 
-    _record("concat_channels", (out,), run)
+    _record((out,), run)
     return out
 
 
+@_op
 def reduce_sum(x):
     """Sum every element into a (1, 1, 1, 1) tensor (float64 accumulation)."""
     total = x.data.astype(np.float64).sum()
@@ -807,10 +828,11 @@ def reduce_sum(x):
     def run():
         _accum(x_slot, np.broadcast_to(out_slot.grad.reshape(()), x_slot.shape))
 
-    _record("reduce_sum", (out,), run)
+    _record((out,), run)
     return out
 
 
+@_op
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy of softmax(logits) against integer labels.
 
@@ -852,5 +874,5 @@ def softmax_cross_entropy(logits, labels):
         d *= g / n
         _accum(logits_slot, d.reshape(n, 1, 1, q), owned=True)
 
-    _record("softmax_cross_entropy", (out,), run)
+    _record((out,), run)
     return out

@@ -1,5 +1,5 @@
-"""Tensor constructors, a gradient fault, memory probes and a step digest
-that only the tests need."""
+"""Tensor constructors, a gradient fault, memory probes, a step digest and a
+model step's node names that only the tests need."""
 
 import hashlib
 import tracemalloc
@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 import tkfnet.tensor
+from tkfnet.model import TKFNet, model_config
 from tkfnet.tensor import DEFAULT_DTYPE, Tape, Tensor, softmax_cross_entropy
 
 
@@ -73,3 +74,12 @@ def step_digest(model, x, labels):
         digest.update(p.grad.tobytes())
         p.grad = None
     return digest.hexdigest()
+
+
+def model_step_nodes():
+    """The node names that a taped step of the small model records."""
+    model = TKFNet(model_config("small", 3), seed=0)
+    x = Tensor(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 16, 16, 3)).astype(np.float32))
+    with Tape() as tape:
+        softmax_cross_entropy(model(x), np.array([0, 2]))
+    return {node.op for node in tape.nodes}

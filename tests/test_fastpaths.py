@@ -76,7 +76,7 @@ def reference_conv2d(x, weight, bias, stride=1):
                 gxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :] += gcols[:, :, :, i, j, :]
         _accum(x, gxp[:, pt : pt + h, pl : pl + w, :])
 
-    _record("conv2d", (out,), run)
+    _record((out,), run)
     return out
 
 
@@ -94,7 +94,8 @@ def reference_resize(arr, th, tw):
     return (1 - wr) * top + wr * bottom
 
 
-def reference_linear(x, weight, bias):
+def reference_conv2d_vector(x, weight, bias):
+    """A 1x1 conv on (n, 1, 1, cin) vectors as a fully connected layer."""
     n, _, _, cin = x.shape
     cout = weight.shape[3]
     x2 = x.data.reshape(n, cin)
@@ -108,12 +109,12 @@ def reference_linear(x, weight, bias):
         _accum(weight, (x2.T @ g2).reshape(1, 1, cin, cout))
         _accum(bias, g2.astype(np.float64).sum(axis=0).reshape(1, 1, 1, cout))
 
-    _record("linear", (out,), run)
+    _record((out,), run)
     return out
 
 
-def reference_pool(kind, x):
-    """Adaptive pooling to a (1, 1) grid: one region, the whole input."""
+def reference_global_pool(kind, x):
+    """Global pooling over a one-region grid, the whole input."""
     n, h, w, c = x.shape
     region = x.data.reshape(n, -1, c)
     if kind == "avg":
@@ -135,11 +136,11 @@ def reference_pool(kind, x):
             np.add.at(gx, index, g[:, 0, 0, :])
         _accum(x, gx)
 
-    _record(f"adaptive_pool[{kind}]", (out,), run)
+    _record((out,), run, kind)
     return out
 
 
-def reference_scale(x, s):
+def reference_hadamard_scalar(x, s):
     """Product with a (1, 1, 1, 1) scalar, whose gradient is a flat sum."""
     out = Tensor(x.data * s.data, requires_grad=x.requires_grad or s.requires_grad)
 
@@ -150,7 +151,7 @@ def reference_scale(x, s):
         if s.requires_grad:
             _accum(s, (g.astype(np.float64) * x.data).sum().reshape(1, 1, 1, 1))
 
-    _record("scale", (out,), run)
+    _record((out,), run)
     return out
 
 
@@ -169,7 +170,7 @@ def reference_hadamard(x, y):
             else:
                 _accum(y, g * x.data)
 
-    _record("hadamard", (out,), run)
+    _record((out,), run)
     return out
 
 
@@ -890,7 +891,7 @@ def test_global_pool_matches_reference_bits(kind, inputs, shape, dtype):
     data = BIT_INPUTS[inputs](rng, shape, dtype)
     upstream = BIT_INPUTS[inputs](rng, (shape[0], 1, 1, shape[3]), dtype)
     results = []
-    for pool in (global_pool, reference_pool):
+    for pool in (global_pool, reference_global_pool):
         x = Tensor(data.copy(), requires_grad=True)
         with np.errstate(invalid="ignore"):
             untaped = pool(kind, x)
@@ -913,13 +914,13 @@ def test_1x1_conv_matches_reference_linear_bits(inputs, n, cin, cout, dtype):
     bias = rng.normal(size=(1, 1, 1, cout)).astype(dtype)
     upstream = make(rng, (n, 1, 1, cout), dtype)
 
-    def linear(x, w, b, stride):
-        return reference_linear(x, w, b)
+    def reference(x, w, b, stride):
+        return reference_conv2d_vector(x, w, b)
 
     with np.errstate(invalid="ignore", over="ignore"):
         fast = conv_output_and_grads(conv2d, x, weight, bias, upstream, 1)
-        ref = conv_output_and_grads(linear, x, weight, bias, upstream, 1)
-        untaped = [op(Tensor(x), Tensor(weight), Tensor(bias), 1).data for op in (conv2d, linear)]
+        ref = conv_output_and_grads(reference, x, weight, bias, upstream, 1)
+        untaped = [op(Tensor(x), Tensor(weight), Tensor(bias), 1).data for op in (conv2d, reference)]
     for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), fast, ref):
         assert_same_bits(a, b, name)
     assert_same_bits(*untaped, "untaped output")
@@ -927,8 +928,8 @@ def test_1x1_conv_matches_reference_linear_bits(inputs, n, cin, cout, dtype):
 
 # (x shape, y shape, reference) for the broadcasting product.
 HADAMARD_CASES = {
-    "scalar_on_vector": ((8, 1, 1, 64), (1, 1, 1, 1), reference_scale),
-    "scalar_on_map": ((8, 7, 7, 64), (1, 1, 1, 1), reference_scale),
+    "scalar_on_vector": ((8, 1, 1, 64), (1, 1, 1, 1), reference_hadamard_scalar),
+    "scalar_on_map": ((8, 7, 7, 64), (1, 1, 1, 1), reference_hadamard_scalar),
     "vector_n1": ((1, 7, 7, 64), (1, 1, 1, 64), reference_hadamard),
     "vector_n8": ((8, 7, 7, 64), (8, 1, 1, 64), reference_hadamard),
     "same_shape": ((2, 5, 6, 4), (2, 5, 6, 4), reference_hadamard),

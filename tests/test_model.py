@@ -154,23 +154,22 @@ SMALL_INPUT = np.random.default_rng(3).uniform(size=(2, 16, 16, 3)).astype(np.fl
 
 
 def recorded_small_step():
-    """A small-model loss at 16 px recorded on a tape, the op of every node,
-    and weak references to the data of every recorded output except the
-    loss, one list per node."""
+    """A small-model loss at 16 px recorded on a tape, and weak references
+    to the data of every recorded output except the loss, one list per
+    node."""
     model = TKFNet(model_config("small", 3), seed=2)
-    ops, refs = [], []
+    refs = []
     record = tensor._record
 
-    def spy(op, outs, run):
-        record(op, outs, run)
-        ops.append(op)
+    def spy(outs, run, kind=None):
+        record(outs, run, kind)
         refs.append([weakref.ref(out.data) for out in outs])
 
     with Tape() as tape, mock.patch.object(tensor, "_record", spy):
         loss = softmax_cross_entropy(model(Tensor(SMALL_INPUT)), np.array([0, 2]))
     assert len(refs) == len(tape.nodes)
     refs = [[ref for ref in node_refs if ref() is not loss.data] for node_refs in refs]
-    return model, tape, loss, ops, refs
+    return model, tape, loss, refs
 
 
 def alive(refs):
@@ -187,7 +186,7 @@ def refcount_only():
 
 
 def test_backward_releases_every_recorded_output(refcount_only):
-    model, tape, loss, _, refs = recorded_small_step()
+    model, tape, loss, refs = recorded_small_step()
     assert sum(len(node_refs) for node_refs in refs) == 40
     # Before backward only the outputs that some backward reads are alive:
     # the 6 relu outputs (read by relu itself), the 2 gelu outputs and the
@@ -206,7 +205,7 @@ def test_backward_releases_every_recorded_output(refcount_only):
 
 
 def test_backward_releases_each_node_before_the_earlier_ones_run(refcount_only):
-    _, tape, loss, _, refs = recorded_small_step()
+    _, tape, loss, refs = recorded_small_step()
     first = tape.nodes[0]
     run_first = first.run
     seen = []
@@ -225,11 +224,11 @@ def test_backward_releases_each_node_before_the_earlier_ones_run(refcount_only):
 def test_forward_frees_backbone_conv_and_add_outputs(refcount_only):
     # The recorded tape stays referenced, so whatever is gone here was freed
     # during the forward pass.
-    model, tape, _, ops, refs = recorded_small_step()
+    model, tape, _, refs = recorded_small_step()
     with Tape() as backbone_tape:
         model.backbone(Tensor(SMALL_INPUT))
     backbone = range(len(backbone_tape.nodes))
-    dead = [i for i in backbone if ops[i] in ("conv2d", "add")]
+    dead = [i for i in backbone if tape.nodes[i].op in ("conv2d", "add")]
     # The stem, two convs per block and a strided shortcut per block; one
     # add per block.
     assert len(dead) == 9

@@ -1,6 +1,7 @@
-"""The README's library example runs as written, and its CLI reference
-lists exactly the settings and flags that ``tkfnet.cli`` declares and the
-rows that ``tkfnet gradcheck`` runs."""
+"""The README's library example runs as written, its overview lists the ops
+of ``tkfnet.tensor.OPS``, and its CLI reference lists exactly the settings
+and flags that ``tkfnet.cli`` declares and the rows that ``tkfnet gradcheck``
+runs."""
 
 import argparse
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 from tkfnet.cli import CONFIG_PARSERS, RunConfig, _build_parser
 from tkfnet.gradcheck import MODULE_CASES
+from tkfnet.tensor import OPS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -72,3 +74,8 @@ def test_flag_lists_match_the_parsers():
 def test_gradcheck_rows_are_the_suite_roster():
     section = README.read_text().split("### gradcheck", 1)[1].split("\n### ", 1)[0]
     assert re.findall(r"^- `([\w-]+)`", section, re.M) == ["tensor-core", *MODULE_CASES]
+
+
+def test_differentiable_ops_are_the_registered_ops():
+    listed = re.search(r"`tkfnet\.tensor\.OPS` lists the differentiable ops:(.*?)\.\s", README.read_text(), re.S)
+    assert re.findall(r"`(\w+)`", listed.group(1)) == list(OPS)

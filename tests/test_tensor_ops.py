@@ -85,7 +85,7 @@ class TestConv2d:
         assert err <= 1e-3
 
 
-class TestLinear:
+class TestConv2dVector:
     """A fully connected layer: a 1x1 conv on (n, 1, 1, c) vectors."""
 
     def test_hand_case(self):
@@ -255,8 +255,8 @@ class TestSpatialMoments:
         assert grad_check(f, [x]) <= 1e-3
 
 
-class TestAdaptivePool:
-    """Global pooling: adaptive pooling to a (1, 1) grid."""
+class TestGlobalPool:
+    """Global pooling of (n, h, w, c) to (n, 1, 1, c)."""
 
     def test_avg_global(self):
         x = t(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1))
@@ -315,7 +315,7 @@ class TestElementwise:
         with pytest.raises(ShapeError, match="do not broadcast"):
             hadamard(t(np.zeros((1, 2, 1, 3))), t(np.zeros((1, 2, 2, 3))))
 
-    def test_scale_applies_scalar(self):
+    def test_hadamard_scalar_broadcast(self):
         x = t(np.ones((1, 2, 2, 1)))
         y = hadamard(x, scalar_tensor(0.25, np.float64))
         np.testing.assert_array_equal(y.data, 0.25 * np.ones((1, 2, 2, 1)))

@@ -5,7 +5,7 @@ The benchmark's tracer replaces these names with timing wrappers and does
 not check first that they exist, so deleting or renaming one would break
 ``bench/run.py --trace 1`` without failing any other test. Its tape metrics
 walk ``Tape.nodes``: each node's closure cells and the gradients of its
-``outs``.
+``outs``. Its per-op metrics time the ops it lists in ``OPS``.
 """
 
 import importlib
@@ -13,10 +13,12 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from helpers import model_step_nodes
 from tkfnet import cli, train
 from tkfnet.model import TKFNet, model_config
-from tkfnet.tensor import Tape, Tensor, softmax_cross_entropy
+from tkfnet.tensor import OPS, Tape, Tensor, softmax_cross_entropy
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -98,3 +100,9 @@ def test_instrumented_model_lists_the_same_parameters():
     after = model.parameters()
     assert len(after) == len(before)
     assert all(a is b for a, b in zip(after, before))
+
+
+@pytest.mark.xfail(strict=True, reason="bench/spans.py OPS is stale until ROADMAP item 4")
+def test_bench_times_the_registered_ops_a_model_step_records():
+    recorded = OPS.keys() & {n.partition("[")[0] for n in model_step_nodes()}
+    assert sorted(load_spans().OPS) == sorted(recorded)
