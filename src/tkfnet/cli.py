@@ -172,18 +172,12 @@ _SYNTH_RE = re.compile(r"^(?:synth:)?(\d+)x(\d+)x(\d+)$")
 
 
 def _parse_synth_spec(text):
+    """(classes, per_class, size) of a spec, unchecked: synth_dataset checks."""
     match = _SYNTH_RE.match(text)
     if match is None:
         raise CliError("CONFIG", "synthetic dataset spec must look like "
                        f"synth:CLASSESxPER_CLASSxSIZE, got {text!r}")
-    classes, per_class, size = (int(g) for g in match.groups())
-    if not 1 <= classes <= 7:
-        raise CliError("CONFIG", f"synthetic classes must be 1..7, got {classes}")
-    if per_class < 1:
-        raise CliError("CONFIG", f"synthetic per-class count must be >= 1, got {per_class}")
-    if size < 1:
-        raise CliError("CONFIG", f"synthetic image size must be >= 1, got {size}")
-    return classes, per_class, size
+    return tuple(int(g) for g in match.groups())
 
 
 def _resolve_dataset(spec, seed):
@@ -316,10 +310,16 @@ def _check_class_count(cfg, found, origin):
         raise CliError("SHAPE", f"config requests {cfg.classes} classes but {origin} has {found}")
 
 
+def _all_finite(arr):
+    # An array's extremes are finite only when every value is, and NaN
+    # propagates through min and max, so no bool array is built.
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _check_finite(records, model):
     """Refuse a diverged run: a non-finite epoch loss or parameter."""
     epochs = [r.epoch for r in records if not math.isfinite(r.mean_loss)]
-    params = [p.name for p in model.parameters() if not np.isfinite(p.data).all()]
+    params = [p.name for p in model.parameters() if not _all_finite(p.data)]
     if epochs or params:
         raise CliError("NUMERIC", f"training diverged: {len(epochs)} epochs with a non-finite "
                        f"loss, {len(params)} parameters with non-finite values; no weights written")
@@ -437,9 +437,7 @@ def _adopt_run_settings(cfg, explicit, weights_path):
 
 def _load_model(weights_path, cfg):
     arrays = read_weights(weights_path)
-    # A record's extremes are finite only when every value is, and NaN
-    # propagates through min and max, so no bool array is built per record.
-    bad = [name for name, a in arrays.items() if not (np.isfinite(a.min()) and np.isfinite(a.max()))]
+    bad = [name for name, a in arrays.items() if not _all_finite(a)]
     if bad:
         raise CliError("NUMERIC", f"weights file {weights_path} has non-finite values in "
                        f"{len(bad)} of {len(arrays)} records, first {bad[0]}")
@@ -538,8 +536,9 @@ def cmd_gradcheck(args):
 def cmd_synth(args):
     cfg, _ = _load_run_config(args)
     classes, per_class, size = _parse_synth_spec(args.spec)
-    out_dir = _ensure_out_dir(cfg, required=True)
+    # Built first, so a spec out of range creates no --out directory.
     dataset = synth_dataset(classes, per_class, (size, size), seed=cfg.seed)
+    out_dir = _ensure_out_dir(cfg, required=True)
 
     counters = {}
     written = 0

@@ -363,6 +363,13 @@ class TestSynth:
         assert main(["synth", "9x1x8", "--out", str(tmp_path / "t")]) == 2
         assert "1..7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["9x1x8", "0x1x8", "2x0x8", "2x1x0"])
+    def test_spec_out_of_range_creates_no_out_dir(self, tmp_path, capsys, spec):
+        out = tmp_path / "t"
+        assert main(["synth", spec, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ERR:CONFIG:")
+        assert not out.exists()
+
     def test_requires_out(self, capsys):
         assert main(["synth", "2x1x8"]) == 2
         assert "--out" in capsys.readouterr().err
