@@ -3,7 +3,10 @@
 Subcommands: train, eval, infer, gradcheck, synth. Configuration comes from
 an optional flat key=value file ('#' starts a comment) overridden by flags.
 Every run that owns an output directory writes a manifest there; runs
-without one echo the manifest to stdout as '# ' comment lines.
+without one echo the manifest to stdout as '# ' comment lines. train takes
+its class count from the dataset and evaluates on its training set; eval
+and infer take the class count from the weights and the input size from the
+manifest beside them.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 I/O error, 4 shape or class mismatch, 5 non-finite values (a diverged
@@ -29,7 +32,6 @@ from .data import (
     load_image,
     load_image_folder,
     preprocess,
-    split_dataset,
     synth_dataset,
 )
 from .gradcheck import GradCheckError, run_suite
@@ -93,15 +95,6 @@ def _float(minimum=None, exclusive_min=None, exclusive_max=None):
     return parse
 
 
-def _switch(key, text):
-    lowered = text.strip().lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise CliError("CONFIG", f"{key} must be on or off, got {text!r}")
-
-
 def _text(key, text):
     return text
 
@@ -114,10 +107,10 @@ def _setting(default, parse, flag=None, help=None):
 
 @dataclass
 class RunConfig:
-    """Every run setting, in manifest order."""
+    """Every run setting, in manifest order. Each has a flag except
+    input_size, which only a config file sets."""
 
     model: str | None = _setting(None, _choice(PRESETS), "--model", " or ".join(PRESETS))
-    classes: int | None = _setting(None, _int(minimum=1))
     epochs: int = _setting(60, _int(minimum=0), "--epochs")
     batch_size: int = _setting(128, _int(minimum=1), "--batch")
     lr_init: float = _setting(0.1, _float(exclusive_min=0.0), "--lr")
@@ -126,8 +119,6 @@ class RunConfig:
     momentum: float = _setting(0.9, _float(minimum=0.0, exclusive_max=1.0), "--momentum")
     seed: int = _setting(0, _int(), "--seed", "RNG seed")
     input_size: int = _setting(224, _int(minimum=1))
-    normalize: bool = _setting(True, _switch)
-    val_split: float = _setting(0.0, _float(minimum=0.0, exclusive_max=1.0))
     data: str | None = _setting(None, _text, "--data", "dataset folder or synth:CxNxS")
     out: str | None = _setting(None, _text, "--out", "output directory")
 
@@ -190,8 +181,6 @@ def _resolve_dataset(spec, seed):
 def _format_value(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "on" if value else "off"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -271,17 +260,26 @@ def _emit_manifest(out_dir, command, cfg, class_names=None, extra=(), report="")
     sys.stdout.write(text)
 
 
-def _ensure_out_dir(cfg, required=False):
+def _out_dir(cfg, required=False):
+    """The --out directory as a Path, or None if it is unset and not required.
+
+    It is not created here: each command calls ``_create_dir`` once its
+    inputs have loaded, so a run that fails on them leaves no empty directory.
+    """
     if cfg.out is None:
         if required:
             raise CliError("CONFIG", "this command requires --out (or out= in the config file)")
         return None
-    out_dir = Path(cfg.out)
+    return Path(cfg.out)
+
+
+def _create_dir(out_dir):
+    if out_dir is None:
+        return
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError("IO", f"cannot create output directory {out_dir}: {exc}") from exc
-    return out_dir
 
 
 def _confusion_csv(confusion, class_names):
@@ -291,23 +289,18 @@ def _confusion_csv(confusion, class_names):
     return "\n".join(lines) + "\n"
 
 
-def _write_scores(out_dir, metrics, class_names, extra=""):
-    """Write final.txt, ending in ``extra``, and confusion.csv into
-    ``out_dir`` unless it is None; return the count 'correct/total'."""
+def _write_scores(out_dir, metrics, class_names):
+    """Write final.txt and confusion.csv into ``out_dir`` unless it is None;
+    return the count 'correct/total'."""
     correct = int(np.trace(metrics.confusion))
     total = int(metrics.confusion.sum())
     if out_dir is not None:
         _write_text(
             out_dir / "final.txt",
-            f"accuracy={metrics.accuracy:.6f}\ncorrect={correct}\nsamples={total}\n{extra}",
+            f"accuracy={metrics.accuracy:.6f}\ncorrect={correct}\nsamples={total}\n",
         )
         _write_text(out_dir / "confusion.csv", _confusion_csv(metrics.confusion, class_names))
     return f"{correct}/{total}"
-
-
-def _check_class_count(cfg, found, origin):
-    if cfg.classes is not None and cfg.classes != found:
-        raise CliError("SHAPE", f"config requests {cfg.classes} classes but {origin} has {found}")
 
 
 def _all_finite(arr):
@@ -331,21 +324,13 @@ def cmd_train(args):
         cfg = replace(cfg, model="base")
     if cfg.data is None:
         raise CliError("CONFIG", "train requires --data (a dataset folder or synth:CxNxS)")
-    out_dir = _ensure_out_dir(cfg, required=True)
-
+    out_dir = _out_dir(cfg, required=True)
     dataset = _resolve_dataset(cfg.data, cfg.seed)
-    _check_class_count(cfg, len(dataset.class_names), "the dataset")
-    cfg = replace(cfg, classes=len(dataset.class_names))
+    # Before the first epoch, so an uncreatable --out fails before any training.
+    _create_dir(out_dir)
 
-    if cfg.val_split > 0.0:
-        train_set, eval_set = split_dataset(dataset, cfg.val_split, cfg.seed)
-        eval_origin = "holdout"
-    else:
-        train_set, eval_set = dataset, dataset
-        eval_origin = "train"
-
-    model = TKFNet(model_config(cfg.model, cfg.classes), seed=cfg.seed)
-    steps_per_epoch = math.ceil(len(train_set.samples) / cfg.batch_size)
+    model = TKFNet(model_config(cfg.model, len(dataset.class_names)), seed=cfg.seed)
+    steps_per_epoch = math.ceil(len(dataset.samples) / cfg.batch_size)
     schedule = LrSchedule(
         cfg.lr_init, cfg.lr_end, max(1, cfg.epochs * steps_per_epoch), cfg.power
     )
@@ -356,17 +341,16 @@ def cmd_train(args):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         records = fit(
             model,
-            train_set,
+            dataset,
             optimizer,
             epochs=cfg.epochs,
             batch_size=cfg.batch_size,
             seed=cfg.seed,
             input_size=size,
-            normalize=cfg.normalize,
             progress=lambda r: print(f"epoch {r.epoch} loss {r.mean_loss:.6f} lr {r.lr:.6f}"),
         )
         _check_finite(records, model)
-        metrics = evaluate(model, eval_set, input_size=size, normalize=cfg.normalize)
+        metrics = evaluate(model, dataset, input_size=size)
 
     # Each file appears complete or not at all; the manifest comes last.
     _write_text(
@@ -375,9 +359,9 @@ def cmd_train(args):
     )
     _write_text(out_dir / "timing.log", "".join(f"{r.epoch}\t{r.seconds:.3f}\n" for r in records))
     _write_file(out_dir / "weights.tkfw", lambda tmp: write_weights(tmp, model.state_arrays()))
-    counts = _write_scores(out_dir, metrics, dataset.class_names, f"eval_split={eval_origin}\n")
+    counts = _write_scores(out_dir, metrics, dataset.class_names)
     _emit_manifest(out_dir, "train", cfg, dataset.class_names)
-    print(f"accuracy {metrics.accuracy:.6f} ({counts} on {eval_origin})")
+    print(f"accuracy {metrics.accuracy:.6f} ({counts} on train)")
 
 
 def _weights_geometry(arrays):
@@ -419,20 +403,23 @@ def _adopt_run_settings(cfg, explicit, weights_path):
     """Align preprocessing with how the weights were trained; return the
     aligned config and the manifest beside the weights.
 
-    That manifest records the training input_size and normalize switch;
-    adopt them unless the user set those fields, and refuse a value that
-    does not parse. Weights without a readable manifest keep the defaults.
+    That manifest records the training input_size; adopt it unless the user
+    set it, and refuse a value that does not parse. Weights trained without
+    the [0, 1] to [-1, 1] mapping, which older manifests record as a
+    normalize value other than on, are refused too. Weights without a
+    readable manifest keep the default input_size.
     """
     path = Path(weights_path).parent / "manifest.txt"
     manifest = _read_manifest(path)
-    updates = {}
-    for key in ("input_size", "normalize"):
-        if key in manifest and key not in explicit:
-            try:
-                updates[key] = CONFIG_PARSERS[key](manifest[key])
-            except CliError as exc:
-                raise CliError("CONFIG", f"manifest {path}: {exc}") from None
-    return replace(cfg, **updates), manifest
+    if "input_size" in manifest and "input_size" not in explicit:
+        try:
+            cfg = replace(cfg, input_size=CONFIG_PARSERS["input_size"](manifest["input_size"]))
+        except CliError as exc:
+            raise CliError("CONFIG", f"manifest {path}: {exc}") from None
+    if manifest.get("normalize", "on") != "on":
+        raise CliError("CONFIG", f"manifest {path}: normalize must be on, "
+                       f"got {manifest['normalize']!r}")
+    return cfg, manifest
 
 
 def _load_model(weights_path, cfg):
@@ -443,9 +430,8 @@ def _load_model(weights_path, cfg):
                        f"{len(bad)} of {len(arrays)} records, first {bad[0]}")
     detected_model, classes = _weights_geometry(arrays)
     model_name = cfg.model or detected_model
-    _check_class_count(cfg, classes, f"the weights file {weights_path}")
     model = TKFNet(model_config(model_name, classes), state=arrays)
-    return model, replace(cfg, model=model_name, classes=classes)
+    return model, replace(cfg, model=model_name)
 
 
 def cmd_eval(args):
@@ -453,17 +439,18 @@ def cmd_eval(args):
     if cfg.data is None:
         raise CliError("CONFIG", "eval requires --data (a dataset folder or synth:CxNxS)")
     cfg, _ = _adopt_run_settings(cfg, explicit, args.weights)
-    out_dir = _ensure_out_dir(cfg)
+    out_dir = _out_dir(cfg)
     model, cfg = _load_model(args.weights, cfg)
 
     dataset = _resolve_dataset(cfg.data, cfg.seed)
-    found = len(dataset.class_names)
-    if found != cfg.classes:
-        raise CliError("SHAPE", f"weights at {args.weights} classify {cfg.classes} classes "
+    classes, found = model.config.classes, len(dataset.class_names)
+    if found != classes:
+        raise CliError("SHAPE", f"weights at {args.weights} classify {classes} classes "
                        f"but the dataset has {found}")
+    _create_dir(out_dir)
 
     size = (cfg.input_size, cfg.input_size)
-    metrics = evaluate(model, dataset, input_size=size, normalize=cfg.normalize)
+    metrics = evaluate(model, dataset, input_size=size)
     counts = _write_scores(out_dir, metrics, dataset.class_names)
     report = f"accuracy {metrics.accuracy:.6f} ({counts})\n"
     if out_dir is None:
@@ -488,17 +475,18 @@ def cmd_infer(args):
     if args.dump_attention and cfg.out is None:
         raise CliError("CONFIG", "--dump-attention requires --out")
     cfg, manifest = _adopt_run_settings(cfg, explicit, args.weights)
-    out_dir = _ensure_out_dir(cfg)
+    out_dir = _out_dir(cfg)
     model, cfg = _load_model(args.weights, cfg)
 
     image = load_image(args.image)
-    x = preprocess(image, (cfg.input_size, cfg.input_size), normalize=cfg.normalize)
+    _create_dir(out_dir)
+    x = preprocess(image, (cfg.input_size, cfg.input_size))
     logits, gate = model.forward_with_attention(x)
 
     raw = logits.data.reshape(-1).astype(np.float64)
     shifted = np.exp(raw - raw.max())
     probs = shifted / shifted.sum()
-    class_names = _class_names(manifest, cfg.classes)
+    class_names = _class_names(manifest, model.config.classes)
 
     report = f"predicted {class_names[int(np.argmax(probs))]}\n"
     report += "".join(f"prob {name} {p:.8f}\n" for name, p in zip(class_names, probs))
@@ -518,7 +506,8 @@ def cmd_gradcheck(args):
         cfg = replace(cfg, model="small")
     if cfg.model != "small":
         raise CliError("CONFIG", "gradcheck supports only the small model")
-    out_dir = _ensure_out_dir(cfg)
+    out_dir = _out_dir(cfg)
+    _create_dir(out_dir)
     _emit_manifest(out_dir, "gradcheck", cfg)
 
     results = run_suite(
@@ -535,10 +524,10 @@ def cmd_gradcheck(args):
 
 def cmd_synth(args):
     cfg, _ = _load_run_config(args)
+    out_dir = _out_dir(cfg, required=True)
     classes, per_class, size = _parse_synth_spec(args.spec)
-    # Built first, so a spec out of range creates no --out directory.
     dataset = synth_dataset(classes, per_class, (size, size), seed=cfg.seed)
-    out_dir = _ensure_out_dir(cfg, required=True)
+    _create_dir(out_dir)
 
     counters = {}
     written = 0
@@ -552,7 +541,6 @@ def cmd_synth(args):
         _write_file(ppm, lambda tmp: tmp.write_bytes(encode_ppm(sample.image)))
         written += 1
 
-    cfg = replace(cfg, classes=classes)
     extra = (("spec", f"synth:{classes}x{per_class}x{size}"),)
     _emit_manifest(out_dir, "synth", cfg, dataset.class_names, extra)
     print(f"wrote {written} files across {classes} classes to {out_dir}")

@@ -216,7 +216,7 @@ def _resize_bilinear(arr, th, tw):
     return _lerp(_lerp(arr, c0, c1, fc, axis=2), r0, r1, fr, axis=1)
 
 
-def preprocess(sample, target=None, normalize=True):
+def preprocess(sample, target=None):
     """Resize with align-corners bilinear sampling and map [0, 1] to [-1, 1].
 
     ``sample`` may be a ``Sample`` or a raw (n, h, w, c) tensor. ``target``
@@ -234,11 +234,10 @@ def preprocess(sample, target=None, normalize=True):
             raise ValueError(f"resize target must be positive, got {target}")
         if (th, tw) != (h, w):
             data = _resize_bilinear(data, th, tw)
-    if normalize:
-        # A resized array is this call's own and is normalized in place; the
-        # caller's ``image.data`` never is.
-        data = data - 0.5 if data is image.data else np.subtract(data, 0.5, out=data)
-        data /= 0.5
+    # A resized array is this call's own and is normalized in place; the
+    # caller's ``image.data`` never is.
+    data = data - 0.5 if data is image.data else np.subtract(data, 0.5, out=data)
+    data /= 0.5
     return Tensor(data)
 
 
@@ -282,23 +281,3 @@ def synth_dataset(classes=7, per_class=20, size=(32, 32), seed=0, noise_sigma=0.
     names = [f"grating_{k}" for k in range(classes)]
     return Dataset(samples, names)
 
-
-def split_dataset(dataset, fraction, seed=0):
-    """Deterministically split off ``fraction`` of the samples as a holdout.
-
-    Returns (train, held) datasets sharing the class-name list.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    n = len(dataset.samples)
-    held_count = max(1, int(round(n * fraction)))
-    if held_count >= n:
-        raise ValueError(f"split of {fraction} leaves no training samples from {n}")
-    order = np.random.default_rng(seed).permutation(n)
-    held_idx = set(int(i) for i in order[:held_count])
-    train = [s for i, s in enumerate(dataset.samples) if i not in held_idx]
-    held = [s for i, s in enumerate(dataset.samples) if i in held_idx]
-    return (
-        Dataset(train, list(dataset.class_names)),
-        Dataset(held, list(dataset.class_names)),
-    )

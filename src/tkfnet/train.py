@@ -82,11 +82,11 @@ class MomentumOptimizer:
         self.step_count += 1
 
 
-def _batch_arrays(samples, input_size, normalize):
+def _batch_arrays(samples, input_size):
     """Images and labels; each image goes into the batch array as it is made."""
     x = None
     for i, sample in enumerate(samples):
-        image = preprocess(sample, target=input_size, normalize=normalize).data
+        image = preprocess(sample, target=input_size).data
         if x is None:
             x = np.empty((len(samples),) + image.shape[1:], dtype=image.dtype)
         if image.shape != (1,) + x.shape[1:]:
@@ -96,7 +96,7 @@ def _batch_arrays(samples, input_size, normalize):
     return Tensor(x), y
 
 
-def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=None, normalize=True):
+def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=None):
     """One pass over the dataset; returns the sample-weighted mean loss.
 
     The visiting order is a permutation drawn deterministically from
@@ -111,7 +111,7 @@ def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=N
     total = 0.0
     for start in range(0, n, batch_size):
         batch = [dataset.samples[i] for i in order[start : start + batch_size]]
-        x, y = _batch_arrays(batch, input_size, normalize)
+        x, y = _batch_arrays(batch, input_size)
         with Tape() as tape:
             loss = compute_loss(model(x), y)
             tape.backward(loss)
@@ -128,8 +128,7 @@ class EpochRecord:
     seconds: float
 
 
-def fit(model, dataset, optimizer, *, epochs, batch_size, seed, input_size=None,
-        normalize=True, progress=None):
+def fit(model, dataset, optimizer, *, epochs, batch_size, seed, input_size=None, progress=None):
     """Run ``epochs`` training epochs; returns one record per epoch.
 
     The recorded lr is the rate in effect at the epoch's first step.
@@ -139,8 +138,7 @@ def fit(model, dataset, optimizer, *, epochs, batch_size, seed, input_size=None,
         lr_start = optimizer.lr
         t0 = time.perf_counter()
         mean_loss = train_epoch(
-            model, dataset, optimizer, batch_size, seed, epoch,
-            input_size=input_size, normalize=normalize,
+            model, dataset, optimizer, batch_size, seed, epoch, input_size=input_size
         )
         record = EpochRecord(epoch, mean_loss, lr_start, time.perf_counter() - t0)
         records.append(record)
@@ -164,7 +162,7 @@ def predictions(logits):
     return np.argmax(logits.data.reshape(n, -1), axis=1)
 
 
-def evaluate(model, dataset, *, input_size=None, normalize=True):
+def evaluate(model, dataset, *, input_size=None):
     """Forward the dataset untaped, EVAL_BATCH at a time; tally a confusion matrix."""
     n = len(dataset.samples)
     if n == 0:
@@ -173,7 +171,7 @@ def evaluate(model, dataset, *, input_size=None, normalize=True):
     confusion = np.zeros((q, q), dtype=np.int64)
     for start in range(0, n, EVAL_BATCH):
         batch = dataset.samples[start : start + EVAL_BATCH]
-        x, y = _batch_arrays(batch, input_size, normalize)
+        x, y = _batch_arrays(batch, input_size)
         logits = model(x)
         if logits.shape[3] != q:
             raise ShapeError(

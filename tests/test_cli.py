@@ -128,6 +128,12 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr().err.startswith("ERR:IO:")
 
+    def test_unreadable_data_creates_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(tmp_path / "absent"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("ERR:IO:")
+        assert not out.exists()
+
     def test_diverged_run_is_numeric_error_and_writes_no_weights(self, tmp_path, capsys):
         # At lr 1000 every epoch loss is NaN and so is nearly every weight.
         config = tmp_path / "train.cfg"
@@ -175,6 +181,16 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "bad.cfg:2" in err
         assert "learning_rate" in err
+
+    @pytest.mark.parametrize("line", ["normalize = off", "classes = 3", "val_split = 0.25"])
+    def test_settings_no_run_uses_are_unknown_keys(self, tmp_path, capsys, line):
+        config = tmp_path / "old.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(config), "--data", "synth:2x2x16", "--out", str(out)]) == 2
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"ERR:CONFIG: {config}:1: unknown config key {key!r}\n"
+        assert not out.exists()
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -249,6 +265,13 @@ class TestEval:
         code = main(["eval", str(tmp_path / "none.tkfw"), "--data", "synth:2x2x16"])
         assert code == 3
         assert capsys.readouterr().err.startswith("ERR:IO:")
+
+    def test_missing_weights_create_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["eval", str(tmp_path / "none.tkfw"), "--data", "synth:2x2x16", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("ERR:IO:")
+        assert not out.exists()
 
     def test_corrupt_weights_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tkfw"
@@ -442,6 +465,15 @@ class TestInfer:
         assert code == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["weights", "image"])
+    def test_missing_input_creates_no_out_dir(self, trained, synth_tree, tmp_path, capsys, missing):
+        weights = tmp_path / "none.tkfw" if missing == "weights" else trained / "weights.tkfw"
+        image = tmp_path / "none.ppm" if missing == "image" else synth_tree / "grating_0" / "00000.ppm"
+        out = tmp_path / "o"
+        assert main(["infer", str(weights), str(image), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("ERR:IO:")
+        assert not out.exists()
+
     def test_unsupported_image_extension(self, trained, tmp_path, capsys):
         bogus = tmp_path / "x.jpeg"
         bogus.write_bytes(b"\xff\xd8\xff")
@@ -513,34 +545,55 @@ class TestManifestValues:
 
     BAD = {"input_size": "0", "normalize": "maybe"}
 
-    def broken_copy(self, trained, tmp_path):
+    def broken_copy(self, trained, tmp_path, bad=BAD):
+        """The trained weights beside their manifest, with each key of
+        ``bad`` set to its value."""
         weights = tmp_path / "weights.tkfw"
         weights.write_bytes((trained / "weights.tkfw").read_bytes())
-        lines = (trained / "manifest.txt").read_text().splitlines()
-        for key, value in self.BAD.items():
-            lines = [f"{key}={value}" if l.startswith(f"{key}=") else l for l in lines]
+        lines = [l for l in (trained / "manifest.txt").read_text().splitlines()
+                 if l.split("=", 1)[0] not in bad]
+        lines += [f"{key}={value}" for key, value in bad.items()]
         (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
         return weights
 
+    def argv(self, command, weights, synth_tree):
+        return {"infer": ["infer", str(weights), str(synth_tree / "grating_0" / "00000.ppm")],
+                "eval": ["eval", str(weights), "--data", "synth:3x4x16"]}[command]
+
     @pytest.mark.parametrize("config, reason", [
         ("", "input_size must be >= 1, got 0"),
-        ("input_size = 16\n", "normalize must be on or off, got 'maybe'"),
+        ("input_size = 16\n", "normalize must be on, got 'maybe'"),
     ], ids=["input_size", "normalize"])
     @pytest.mark.parametrize("command", ["infer", "eval"])
     def test_invalid_adopted_value_is_config_error(self, trained, synth_tree, tmp_path, capsys,
                                                    command, config, reason):
         weights = self.broken_copy(trained, tmp_path)
         (tmp_path / "run.cfg").write_text(config)
-        argv = {"infer": ["infer", str(weights), str(synth_tree / "grating_0" / "00000.ppm")],
-                "eval": ["eval", str(weights), "--data", "synth:3x4x16"]}[command]
+        argv = self.argv(command, weights, synth_tree)
         assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"ERR:CONFIG: manifest {tmp_path / 'manifest.txt'}: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_weights_trained_without_normalization_are_refused(self, trained, synth_tree, tmp_path,
+                                                               capsys, command):
+        weights = self.broken_copy(trained, tmp_path, {"normalize": "off"})
+        assert main(self.argv(command, weights, synth_tree)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"ERR:CONFIG: manifest {tmp_path / 'manifest.txt'}: normalize must be on, got 'off'\n"
+
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_older_manifest_keys_are_read(self, trained, synth_tree, tmp_path, capsys, command):
+        # Manifests written before those settings went record them like this.
+        weights = self.broken_copy(trained, tmp_path, {"classes": "3", "normalize": "on", "val_split": "0.0"})
+        assert main(self.argv(command, weights, synth_tree)) == 0
+        assert "# input_size=16\n" in capsys.readouterr().out
+
     def test_values_the_user_sets_are_not_read(self, trained, synth_tree, tmp_path, capsys):
-        weights = self.broken_copy(trained, tmp_path)
-        (tmp_path / "run.cfg").write_text("input_size = 16\nnormalize = on\n")
+        weights = self.broken_copy(trained, tmp_path, {"input_size": "0"})
+        (tmp_path / "run.cfg").write_text("input_size = 16\n")
         image = synth_tree / "grating_0" / "00000.ppm"
         assert main(["infer", str(weights), str(image), "--config", str(tmp_path / "run.cfg")]) == 0
         assert "# input_size=16\n" in capsys.readouterr().out
@@ -635,8 +688,14 @@ class TestLoadPath:
             (lambda arrays: arrays.pop("tafe.alpha"), "missing parameters: tafe.alpha"),
             (lambda arrays: arrays.update({"tafe.ctx_conv3.weight": np.zeros((1, 1, 16, 16), np.float32)}),
              "tafe.ctx_conv3.weight has shape"),
+            (lambda arrays: arrays.pop("dcif.head.weight"),
+             "weights file lacks the classifier record dcif.head.weight"),
+            (lambda arrays: arrays.pop("backbone.stem.weight"),
+             "weights file lacks the stem record backbone.stem.weight"),
+            (lambda arrays: arrays.update({"backbone.stem.weight": np.zeros((3, 3, 3, 5), np.float32)}),
+             "stem width 5 matches no known model preset"),
         ],
-        ids=["missing_record", "wrong_shape"],
+        ids=["missing_record", "wrong_shape", "no_head", "no_stem", "unknown_stem_width"],
     )
     def test_bad_record_is_shape_error(self, trained, synth_tree, tmp_path, capsys, command, edit, reason):
         weights = doctored_weights(trained, tmp_path, edit)
@@ -732,3 +791,22 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.endswith("\n")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "infer", "gradcheck", "synth"])
+def test_out_under_a_regular_file_is_io_error(trained, synth_tree, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "run"
+    argv = {
+        "train": ["train", "--data", "synth:2x2x16", "--model", "small", "--epochs", "1"],
+        "eval": ["eval", str(trained / "weights.tkfw"), "--data", "synth:3x4x16"],
+        "infer": ["infer", str(trained / "weights.tkfw"), str(synth_tree / "grating_0" / "00000.ppm")],
+        "gradcheck": ["gradcheck"],
+        "synth": ["synth", "2x1x8"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    # Nothing ran first: train printed no epoch, gradcheck no row.
+    assert captured.out == ""
+    assert captured.err.startswith(f"ERR:IO: cannot create output directory {out}: ")

@@ -14,7 +14,6 @@ from tkfnet.data import (
     load_image,
     load_image_folder,
     preprocess,
-    split_dataset,
     synth_dataset,
 )
 from tkfnet.tensor import Tensor
@@ -182,34 +181,35 @@ class TestPreprocess:
         out = preprocess(Sample(img, 0))
         np.testing.assert_allclose(out.data.reshape(-1), [-1.0, 0.0, 1.0], atol=1e-7)
 
-    def test_normalize_can_be_disabled(self):
+    def test_normalization_leaves_the_source_array_alone(self):
         img = Tensor(np.full((1, 2, 2, 3), 0.25, dtype=np.float32))
-        out = preprocess(img, normalize=False)
-        np.testing.assert_array_equal(out.data, img.data)
+        out = preprocess(img)
+        np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 3), -0.5, dtype=np.float32))
+        np.testing.assert_array_equal(img.data, np.full((1, 2, 2, 3), 0.25, dtype=np.float32))
 
     def test_resize_identity_when_extent_matches(self):
         img = Tensor(np.random.default_rng(3).uniform(size=(1, 4, 4, 3)).astype(np.float32))
-        out = preprocess(img, target=(4, 4), normalize=False)
-        np.testing.assert_array_equal(out.data, img.data)
+        out = preprocess(img, target=(4, 4))
+        np.testing.assert_array_equal(out.data, (img.data - 0.5) / 0.5)
 
     def test_bilinear_checkerboard_center(self):
         # Upsampling [[0, 1], [1, 0]] to 3x3 puts 0.5 at the center and keeps
         # the four corners.
         img = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32)
         img = Tensor(np.repeat(img.reshape(1, 2, 2, 1), 3, axis=3))
-        out = preprocess(img, target=(3, 3), normalize=False)
+        out = preprocess(img, target=(3, 3))
         plane = out.data[0, :, :, 0]
-        assert plane[1, 1] == pytest.approx(0.5)
+        assert plane[1, 1] == pytest.approx(0.0, abs=1e-7)
         np.testing.assert_allclose(
             [plane[0, 0], plane[0, 2], plane[2, 0], plane[2, 2]],
-            [0.0, 1.0, 1.0, 0.0],
+            [-1.0, 1.0, 1.0, -1.0],
             atol=1e-7,
         )
 
     def test_downsample_to_single_pixel_takes_origin(self):
         img = Tensor(np.arange(12, dtype=np.float32).reshape(1, 2, 2, 3))
-        out = preprocess(img, target=(1, 1), normalize=False)
-        np.testing.assert_array_equal(out.data.reshape(-1), [0.0, 1.0, 2.0])
+        out = preprocess(img, target=(1, 1))
+        np.testing.assert_array_equal(out.data.reshape(-1), [-1.0, 1.0, 3.0])
 
     def test_invalid_target_rejected(self):
         img = Tensor(np.zeros((1, 2, 2, 3), dtype=np.float32))
@@ -267,30 +267,3 @@ class TestSynthDataset:
             delta = min(delta, abs(delta - math.pi))
             assert delta < 0.05
 
-
-class TestSplitDataset:
-    def test_sizes_and_label_multiset(self):
-        data = synth_dataset(classes=3, per_class=10, size=(8, 8), seed=0)
-        train, held = split_dataset(data, 0.2, seed=1)
-        assert len(held.samples) == 6
-        assert len(train.samples) == 24
-        combined = sorted([s.label for s in train.samples] + [s.label for s in held.samples])
-        assert combined == sorted(s.label for s in data.samples)
-
-    def test_deterministic_for_fixed_seed(self):
-        data = synth_dataset(classes=2, per_class=8, size=(8, 8), seed=0)
-        a = split_dataset(data, 0.25, seed=3)
-        b = split_dataset(data, 0.25, seed=3)
-        assert [id(s) for s in a[1].samples] == [id(s) for s in b[1].samples]
-
-    def test_holdout_never_empty(self):
-        data = synth_dataset(classes=2, per_class=2, size=(8, 8), seed=0)
-        _, held = split_dataset(data, 0.01, seed=0)
-        assert len(held.samples) == 1
-
-    def test_fraction_bounds(self):
-        data = synth_dataset(classes=2, per_class=2, size=(8, 8), seed=0)
-        with pytest.raises(ValueError):
-            split_dataset(data, 0.0)
-        with pytest.raises(ValueError):
-            split_dataset(data, 1.0)

@@ -98,10 +98,9 @@ def test_ppm_decode_or_raise_data_error(data):
 
 # One value each key's parser accepts, and values that some parsers reject.
 CONFIG_VALID = {
-    "model": "small", "classes": "3", "epochs": "2", "batch_size": "4",
-    "lr_init": "0.01", "lr_end": "0", "power": "0.5", "momentum": "0.9",
-    "seed": "-7", "input_size": "16", "normalize": "off", "val_split": "0.25",
-    "data": "synth:3x4x16", "out": "runs/a b",
+    "model": "small", "epochs": "2", "batch_size": "4", "lr_init": "0.01",
+    "lr_end": "0", "power": "0.5", "momentum": "0.9", "seed": "-7",
+    "input_size": "16", "data": "synth:3x4x16", "out": "runs/a b",
 }
 CONFIG_INVALID = ["", "x", "-3", "1e999", "nan", "1.5", "0"]
 
