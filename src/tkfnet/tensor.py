@@ -42,15 +42,26 @@ so gradients do not change.
 A convolution's forward builds its im2col patch matrix and multiplies it a
 block of whole samples at a time, each block at least ``_PATCH_BLOCK``
 elements, so it never holds the whole batch's matrix; a 1x1 stride-1
-kernel's matrix is the block of input itself. One rule, in ``_scratch``,
-decides where a convolution's patch and padded-input scratch lives: while the
-calling thread has a ``Tape`` active, ``_scratch`` empties that thread's pool
-and allocates afresh; otherwise it hands out the thread's pooled buffer for the
-role, each in its own anonymous ``mmap`` grown to the largest request seen.
-Every padded buffer has its border zeroed on every call. Backward rebuilds
-the matrix for the kernel gradient through one reused buffer, a kernel row at
-a time when each kernel row's columns hold at least ``_PATCH_BLOCK``
-elements, and whole, for one product, below that. Either way the samples are
+kernel's matrix is the block of input itself. Each GEMM whose rows are
+output pixels, the forward's product of each block and the input gradient's
+product of each tap, runs in ``_matmul_rows``: in row blocks of
+``_GEMM_ROWS`` row-operand elements, a shorter remainder joining the last
+block, each block at least ``_PATCH_BLOCK`` multiply-adds. With two threads
+OpenBLAS packs a call's whole row operand into buffers whose pages stay
+resident, so the row bound caps them; the floor keeps each block above
+OpenBLAS's small-matrix bound (m * k * n <= 1e6) whenever the whole product
+is above it, so the blocks keep the whole product's bits on the kernels that
+``_PATCH_BLOCK``'s comment names.
+
+One rule, in ``_scratch``, decides where a convolution's patch and
+padded-input scratch lives: while the calling thread has a ``Tape`` active,
+``_scratch`` empties that thread's pool and allocates afresh; otherwise it
+hands out the thread's pooled buffer for the role, each in its own anonymous
+``mmap`` grown to the largest request seen. Every padded buffer has its
+border zeroed on every call. Backward rebuilds the matrix for the kernel
+gradient through one reused buffer, a kernel row at a time when each kernel
+row's columns hold at least ``_PATCH_BLOCK`` elements, and whole, for one
+product, below that. Either way the samples are
 padded one of the forward's blocks at a time in one reused buffer, never in a
 padded copy of the batch. The input gradient is summed tap by tap into an
 unpadded buffer, which then becomes the input's gradient; each tap's product
@@ -114,12 +125,23 @@ _ERFC_Q = (
 )
 # Elements per pass of _erf: its four float64 scratch rows stay in cache.
 _ERF_BLOCK = 1 << 14
-# Least patch elements per block of conv2d's forward, 4 MiB of float32. Smaller
-# blocks can fall on OpenBLAS's small-matrix GEMM path, whose bits differ from
-# those of the whole batch's GEMM. That blocks of this size keep the whole
-# GEMM's bits was checked under OpenBLAS 0.3.31's SkylakeX and SandyBridge
-# kernels; under its Haswell and Prescott kernels it does not hold.
+# Least patch elements per block of conv2d's forward, 4 MiB of float32, and
+# least multiply-adds (m * k * n) per row block of _matmul_rows. OpenBLAS
+# 0.3.31 sends a GEMM of m * k * n <= 1e6 to its small-matrix kernel, whose
+# bits differ: (k, n) = (72, 8) slices of 1024 rows (589,824) round otherwise
+# than the whole GEMM, slices of 2048 rows (1.18e6) do not. A block of at least
+# 2**20 stays above that bound whenever the whole GEMM is. That such blocks
+# keep the whole GEMM's bits was checked under the SkylakeX and SandyBridge
+# kernels; under the Haswell and Prescott kernels it does not hold.
 _PATCH_BLOCK = 1 << 20
+# Most row-operand elements per GEMM call of conv2d, 1 MiB of float32. With
+# two threads OpenBLAS packs a call's whole row operand into its buffers and
+# keeps the pages they touch resident for the life of the process: after a
+# taped base@224 batch-8 step, 13.4 MiB with whole sample blocks, 5.8 MiB with
+# this bound. 2**17 leaves 3.9 MiB but splits large-k GEMMs into more calls,
+# which made a batch-8 step 3 % and a batch-1 forward 4 % slower; at 2**18
+# neither moved.
+_GEMM_ROWS = 1 << 18
 # The calling thread's reused convolution scratch while no Tape is active, one
 # buffer per role, each in its own anonymous mapping. See _scratch.
 _POOL = threading.local()
@@ -438,14 +460,33 @@ def _tap_span(tap, pad, extent, out_extent, stride):
     return slice(first, stop), slice(start, start + (stop - first - 1) * stride + 1, stride)
 
 
-def _sample_blocks(n, per_sample):
-    """Sample bounds of the forward's patch-matrix blocks: each block holds
-    at least ``_PATCH_BLOCK`` elements, a trailing remainder smaller than a
-    block joins the block before it, and a batch smaller than one block is a
-    single block."""
-    step = max(1, -(-_PATCH_BLOCK // max(per_sample, 1)))
+def _blocks(n, step):
+    """Bounds of consecutive blocks of ``step`` of n items: a trailing
+    remainder shorter than ``step`` joins the block before it, and fewer than
+    ``step`` items are a single block."""
     blocks = max(1, n // step)
     return [(b * step, n if b == blocks - 1 else (b + 1) * step) for b in range(blocks)]
+
+
+def _sample_blocks(n, per_sample):
+    """Sample bounds of the forward's patch-matrix blocks, each at least
+    ``_PATCH_BLOCK`` elements."""
+    return _blocks(n, -(-_PATCH_BLOCK // max(per_sample, 1)))
+
+
+def _gemm_row_blocks(m, k, n):
+    """Row bounds of an (m, k) @ (k, n) product's blocks: ``_GEMM_ROWS`` row
+    operand elements each, but at least ``_PATCH_BLOCK`` multiply-adds, so
+    that no block falls to OpenBLAS's small-matrix path unless the whole
+    product does."""
+    return _blocks(m, max(_GEMM_ROWS // k, -(-_PATCH_BLOCK // (k * n))))
+
+
+def _matmul_rows(a, b, out):
+    """``np.matmul(a, b, out=out)`` for 2-D operands, one block of
+    ``_gemm_row_blocks`` rows at a time, each into its rows of ``out``."""
+    for start, stop in _gemm_row_blocks(a.shape[0], *b.shape):
+        np.matmul(a[start:stop], b, out=out[start:stop])
 
 
 @_op
@@ -484,7 +525,7 @@ def conv2d(x, weight, bias, stride=1):
     y = np.empty((n * rows, cout), dtype=np.result_type(x.data, wmat, bias.data))
     for start, stop in blocks:
         cols = _im2col(x.data[start:stop], kh, kw, stride, pads, oh, ow, buf[: (stop - start) * rows])
-        np.matmul(cols, wmat, out=y[start * rows : stop * rows])
+        _matmul_rows(cols, wmat, y[start * rows : stop * rows])
     y = y.reshape(n, oh, ow, cout)
     y += bias.data.reshape(cout)
 
@@ -530,7 +571,7 @@ def conv2d(x, weight, bias, stride=1):
                 # into the gradient the input already holds. _accum turns -0
                 # into +0, so the bits are those of the loop below. With mixed
                 # dtypes the loop keeps its cast order.
-                np.matmul(g2, w_data[0, 0].T, out=tap)
+                _matmul_rows(g2, w_data[0, 0].T, tap)
                 _accum(x_slot, gtap, owned=True, stride=stride)
                 return
             gx = np.zeros((n, h, w, cin), dtype=x_slot.dtype)
@@ -541,7 +582,7 @@ def conv2d(x, weight, bias, stride=1):
                     if span_h is None or span_w is None:
                         continue
                     (out_h, in_h), (out_w, in_w) = span_h, span_w
-                    np.matmul(g2, w_data[i, j].T, out=tap)
+                    _matmul_rows(g2, w_data[i, j].T, tap)
                     gx[:, in_h, in_w] += gtap[:, out_h, out_w]
             _accum(x_slot, gx, owned=True)
 

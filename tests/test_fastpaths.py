@@ -11,10 +11,15 @@ bits exactly, not just within a tolerance.
 """
 
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tkfnet
 import tkfnet.tensor
 from helpers import empty_pool, scale_gradients, traced_peak
 from tkfnet.data import _axis_coords, _resize_bilinear
@@ -25,6 +30,7 @@ from tkfnet.tensor import (
     Tensor,
     _accum,
     _conv_geometry,
+    _gemm_row_blocks,
     _record,
     _sample_blocks,
     _sorted_sum,
@@ -219,8 +225,13 @@ def assert_conv_matches_reference_bits(shape, dtype):
     upstream = rng.normal(size=(n, oh, ow, cout)).astype(dtype)
     fast = conv_output_and_grads(conv2d, x, weight, bias, upstream, stride)
     ref = conv_output_and_grads(reference_conv2d, x, weight, bias, upstream, stride)
-    for name, a, b in zip(("output", "x grad", "weight grad", "bias grad"), fast, ref):
+    # The gradients first: they hold whatever the output's forward GEMM
+    # gives, as the upstream gradient is fixed.
+    for name, a, b in zip(("x grad", "weight grad", "bias grad"), fast[1:], ref[1:]):
         assert_same_bits(a, b, name)
+    for start, stop in _sample_blocks(n, oh * ow * k * k * cin):
+        skip_unless_gemm_row_blocks_keep_bits((stop - start) * oh * ow, k * k * cin, cout, dtype)
+    assert_same_bits(fast[0], ref[0], "output")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -306,11 +317,118 @@ def test_conv2d_sample_blocks_match_reference_bits(monkeypatch, n, k, stride, sa
     assert_conv_matches_reference_bits(shape, dtype)
 
 
-def test_stage0_conv_in_four_blocks_matches_reference_bits():
-    shape = (8, 56, 56, 32, 32, 3, 1)
+def skip_unless_gemm_row_blocks_keep_bits(m, k, n, dtype):
+    """Skip unless the BLAS kernel in use gives an (m, k) @ (k, n) GEMM,
+    split at ``_gemm_row_blocks``, the whole GEMM's bits, as seen on seeded
+    operands of the same shapes. OpenBLAS 0.3.31's SkylakeX and SandyBridge
+    kernels do at every conv shape here; its Haswell and Prescott kernels do
+    not for the forward GEMMs of the base shapes that it splits."""
+    if len(_gemm_row_blocks(m, k, n)) == 1:
+        return
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(m, k)).astype(dtype)
+    b = rng.normal(size=(k, n)).astype(dtype)
+    split = np.concatenate([a[i:j] @ b for i, j in _gemm_row_blocks(m, k, n)])
+    if not np.array_equal(bits(a @ b), bits(split)):
+        pytest.skip("the BLAS kernel in use gives this GEMM split into bounded row blocks other bits than the whole GEMM")
+
+
+# base@224 at batch 8: the stem, whose forward GEMMs are 50176 x 27 sample
+# blocks, and a stage-0 conv, in four sample blocks of 6272 x 288, whose
+# input-gradient taps are 25088 x 32. Each GEMM runs in several row blocks.
+@pytest.mark.parametrize("shape", [(8, 224, 224, 3, 32, 3, 2), (8, 56, 56, 32, 32, 3, 1)],
+                         ids=["stem", "stage0"])
+def test_base224_conv_in_row_blocks_matches_reference_bits(shape):
+    n, h, w, cin, cout, k, stride = shape
+    oh, ow, _ = _conv_geometry(h, w, k, k, stride)
+    (start, stop), *_ = _sample_blocks(n, oh * ow * k * k * cin)
+    assert len(_gemm_row_blocks((stop - start) * oh * ow, k * k * cin, cout)) > 1
+    assert len(_gemm_row_blocks(n * oh * ow, cout, cin)) > 1
+    skip_unless_gemm_row_blocks_keep_bits(n * oh * ow, cout, cin, np.float32)
     skip_unless_row_split_keeps_bits(*shape, np.float32)
     skip_unless_kernel_row_split_keeps_bits(*shape, np.float32)
+    skip_unless_tap_split_keeps_bits(*shape, np.float32)
     assert_conv_matches_reference_bits(shape, np.float32)
+
+
+# OpenBLAS 0.3.31 sends a GEMM of m * k * n at or below this to its
+# small-matrix kernel, whose bits differ from its blocked kernel's.
+SMALL_GEMM = 1_000_000
+
+
+@pytest.mark.parametrize("m, k, n", [
+    (50176, 27, 32), (6272, 288, 32), (25088, 32, 32), (1568, 1152, 128),  # base@224 convs
+    (100352, 32, 3), (8192, 32, 3), (2048, 72, 8), (1024, 72, 8),  # narrow products
+    (455, 288, 32), (1, 27, 32),
+])
+def test_gemm_row_blocks_bound_the_row_operand_and_skip_the_small_kernel(m, k, n):
+    blocks = _gemm_row_blocks(m, k, n)
+    assert blocks[0][0] == 0 and blocks[-1][1] == m
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    sizes = [stop - start for start, stop in blocks]
+    # Equal blocks; a shorter remainder joins the last of them.
+    if len(sizes) > 1:
+        assert set(sizes[:-1]) == {sizes[0]} and sizes[0] <= sizes[-1] < 2 * sizes[0]
+    # The row-operand bound holds unless a block that size would take the
+    # small-matrix kernel; then the block is just large enough to avoid it.
+    step = tkfnet.tensor._GEMM_ROWS // k
+    if step * k * n > tkfnet.tensor._PATCH_BLOCK:
+        assert sizes[0] * k <= tkfnet.tensor._GEMM_ROWS
+    if m * k * n > SMALL_GEMM:
+        assert min(sizes) * k * n > SMALL_GEMM
+    else:
+        assert blocks == [(0, m)]
+
+
+def test_gemm_row_blocks_keep_narrow_products_off_the_small_kernel():
+    # The row bound alone would cut a (100352, 32) @ (32, 3) product, the
+    # stem's input-gradient tap at batch 8, into blocks below the bound.
+    assert (tkfnet.tensor._GEMM_ROWS // 32) * 32 * 3 <= SMALL_GEMM
+    assert min(stop - start for start, stop in _gemm_row_blocks(100352, 32, 3)) * 32 * 3 > SMALL_GEMM
+
+
+# Sums the Rss of the anonymous mappings of 32 MiB or more, where OpenBLAS
+# keeps its packing buffers, after one taped base@224 batch-8 step.
+BLAS_BUFFER_PROBE = """
+import numpy as np
+from tkfnet.model import TKFNet, model_config
+from tkfnet.tensor import Tape, Tensor, softmax_cross_entropy
+
+model = TKFNet(model_config("base", 7), seed=0)
+rng = np.random.default_rng(11)
+x = Tensor(rng.uniform(-1, 1, size=(8, 224, 224, 3)).astype(np.float32))
+with Tape() as tape:
+    loss = softmax_cross_entropy(model(x), rng.integers(0, 7, size=8))
+tape.backward(loss)
+found, rss_kib, size = 0, 0, 0
+with open("/proc/self/smaps") as f:
+    for line in f:
+        fields = line.split()
+        if fields[0].endswith(":"):
+            if fields[0] == "Rss:" and size >= 32 << 20:
+                rss_kib += int(fields[1])
+        else:
+            low, high = (int(v, 16) for v in fields[0].split("-"))
+            size = high - low if len(fields) == 5 else 0
+            found += size >= 32 << 20
+print(found, rss_kib)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="no /proc/self/smaps: not Linux")
+def test_taped_step_leaves_little_of_the_blas_buffers_resident():
+    # With whole sample blocks as GEMMs, OpenBLAS 0.3.31's SkylakeX kernel
+    # leaves 13.4 MiB of its two buffers resident after this step; with
+    # bounded row blocks, 5.8 MiB.
+    src = Path(tkfnet.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", BLAS_BUFFER_PROBE], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    found, rss_kib = map(int, result.stdout.split())
+    if not found:
+        pytest.skip("no anonymous mapping of 32 MiB or more: the BLAS in use keeps no such buffers")
+    assert rss_kib < 8 * 1024
 
 
 @pytest.mark.parametrize("stride", [1, 2])
