@@ -42,20 +42,19 @@ def summarize(values):
 
 
 def machine_extras():
-    """RAM and the OpenBLAS core type, which ``bench/run.py`` does not report."""
-    facts = {"mem_total_kib": None, "openblas_core": None}
-    with open("/proc/meminfo") as f:
-        facts["mem_total_kib"] = int(next(line.split()[1] for line in f if line.startswith("MemTotal:")))
+    """RAM and the OpenBLAS core type, which ``bench/run.py`` does not
+    report. Both are read from Linux's /proc; the core type is null unless
+    numpy's OpenBLAS exports a corename function."""
     import numpy  # noqa: F401, loads the OpenBLAS library numpy was built with
+    with open("/proc/meminfo") as f:
+        mem_total_kib = int(next(line.split()[1] for line in f if line.startswith("MemTotal:")))
     with open("/proc/self/maps") as f:
         lib = next((line.split()[-1] for line in f if "openblas" in line), None)
-    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-        corename = getattr(ctypes.CDLL(lib), name, None) if lib else None
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            facts["openblas_core"] = corename().decode()
-            break
-    return facts
+    names = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+    corename = next(filter(None, (getattr(ctypes.CDLL(lib), name, None) for name in names)), None) if lib else None
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+    return {"mem_total_kib": mem_total_kib, "openblas_core": corename and corename().decode()}
 
 
 def main(argv=None):

@@ -358,7 +358,9 @@ SMALL_GEMM = 1_000_000
 
 @pytest.mark.parametrize("m, k, n", [
     (50176, 27, 32), (6272, 288, 32), (25088, 32, 32), (1568, 1152, 128),  # base@224 convs
-    (100352, 32, 3), (8192, 32, 3), (2048, 72, 8), (1024, 72, 8),  # narrow products
+    # Narrow products. The row bound alone would cut the first, the stem's
+    # input-gradient tap at batch 8, into blocks below the small-matrix bound.
+    (100352, 32, 3), (8192, 32, 3), (2048, 72, 8), (1024, 72, 8),
     (455, 288, 32), (1, 27, 32),
 ])
 def test_gemm_row_blocks_bound_the_row_operand_and_skip_the_small_kernel(m, k, n):
@@ -370,7 +372,7 @@ def test_gemm_row_blocks_bound_the_row_operand_and_skip_the_small_kernel(m, k, n
     if len(sizes) > 1:
         assert set(sizes[:-1]) == {sizes[0]} and sizes[0] <= sizes[-1] < 2 * sizes[0]
     # The row-operand bound holds unless a block that size would take the
-    # small-matrix kernel; then the block is just large enough to avoid it.
+    # small-matrix kernel; then the floor sets the block's size.
     step = tkfnet.tensor._GEMM_ROWS // k
     if step * k * n > tkfnet.tensor._PATCH_BLOCK:
         assert sizes[0] * k <= tkfnet.tensor._GEMM_ROWS
@@ -378,13 +380,6 @@ def test_gemm_row_blocks_bound_the_row_operand_and_skip_the_small_kernel(m, k, n
         assert min(sizes) * k * n > SMALL_GEMM
     else:
         assert blocks == [(0, m)]
-
-
-def test_gemm_row_blocks_keep_narrow_products_off_the_small_kernel():
-    # The row bound alone would cut a (100352, 32) @ (32, 3) product, the
-    # stem's input-gradient tap at batch 8, into blocks below the bound.
-    assert (tkfnet.tensor._GEMM_ROWS // 32) * 32 * 3 <= SMALL_GEMM
-    assert min(stop - start for start, stop in _gemm_row_blocks(100352, 32, 3)) * 32 * 3 > SMALL_GEMM
 
 
 # Sums the Rss of the anonymous mappings of 32 MiB or more, where OpenBLAS
