@@ -225,8 +225,9 @@ def assert_conv_matches_reference_bits(shape, dtype):
     upstream = rng.normal(size=(n, oh, ow, cout)).astype(dtype)
     fast = conv_output_and_grads(conv2d, x, weight, bias, upstream, stride)
     ref = conv_output_and_grads(reference_conv2d, x, weight, bias, upstream, stride)
-    # The gradients first: they hold whatever the output's forward GEMM
-    # gives, as the upstream gradient is fixed.
+    # The gradients first: with the upstream gradient fixed, they do not
+    # depend on the forward GEMM, whose bits some BLAS kernels change when
+    # it is split into row blocks.
     for name, a, b in zip(("x grad", "weight grad", "bias grad"), fast[1:], ref[1:]):
         assert_same_bits(a, b, name)
     for start, stop in _sample_blocks(n, oh * ow * k * k * cin):
@@ -414,7 +415,7 @@ print(found, rss_kib)
 def test_taped_step_leaves_little_of_the_blas_buffers_resident():
     # With whole sample blocks as GEMMs, OpenBLAS 0.3.31's SkylakeX kernel
     # leaves 13.4 MiB of its two buffers resident after this step; with
-    # bounded row blocks, 5.8 MiB.
+    # bounded row blocks, 5.8 MiB. The bound lies between the two.
     src = Path(tkfnet.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", BLAS_BUFFER_PROBE], env=dict(os.environ, PYTHONPATH=path),
