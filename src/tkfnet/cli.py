@@ -76,7 +76,7 @@ def _int(minimum=None):
     return parse
 
 
-def _float(minimum=None, exclusive_min=None, exclusive_max=None):
+def _float(minimum=None, exclusive_min=None):
     def parse(key, text):
         try:
             value = float(text)
@@ -88,8 +88,6 @@ def _float(minimum=None, exclusive_min=None, exclusive_max=None):
             raise CliError("CONFIG", f"{key} must be >= {minimum}, got {value}")
         if exclusive_min is not None and value <= exclusive_min:
             raise CliError("CONFIG", f"{key} must be > {exclusive_min}, got {value}")
-        if exclusive_max is not None and value >= exclusive_max:
-            raise CliError("CONFIG", f"{key} must be < {exclusive_max}, got {value}")
         return value
 
     return parse
@@ -115,8 +113,6 @@ class RunConfig:
     batch_size: int = _setting(128, _int(minimum=1), "--batch")
     lr_init: float = _setting(0.1, _float(exclusive_min=0.0), "--lr")
     lr_end: float = _setting(0.01, _float(minimum=0.0), "--lr-end")
-    power: float = _setting(0.5, _float(exclusive_min=0.0), "--power")
-    momentum: float = _setting(0.9, _float(minimum=0.0, exclusive_max=1.0), "--momentum")
     seed: int = _setting(0, _int(), "--seed", "RNG seed")
     input_size: int = _setting(224, _int(minimum=1))
     data: str | None = _setting(None, _text, "--data", "dataset folder or synth:CxNxS")
@@ -331,10 +327,8 @@ def cmd_train(args):
 
     model = TKFNet(model_config(cfg.model, len(dataset.class_names)), seed=cfg.seed)
     steps_per_epoch = math.ceil(len(dataset.samples) / cfg.batch_size)
-    schedule = LrSchedule(
-        cfg.lr_init, cfg.lr_end, max(1, cfg.epochs * steps_per_epoch), cfg.power
-    )
-    optimizer = MomentumOptimizer(model.parameters(), schedule, momentum=cfg.momentum)
+    schedule = LrSchedule(cfg.lr_init, cfg.lr_end, max(1, cfg.epochs * steps_per_epoch))
+    optimizer = MomentumOptimizer(model.parameters(), schedule)
 
     size = (cfg.input_size, cfg.input_size)
     # A diverging run overflows; _check_finite reports it as the one stderr line.
@@ -576,7 +570,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", parents=[common], help="train a model")
-    add_flags(train, "data", "epochs", "batch_size", "lr_init", "lr_end", "power", "momentum")
+    add_flags(train, "data", "epochs", "batch_size", "lr_init", "lr_end")
     train.set_defaults(handler=cmd_train)
 
     evaluate_cmd = sub.add_parser("eval", parents=[common], help="evaluate saved weights")

@@ -1,13 +1,15 @@
 """Central finite-difference verification of the differentiation tape.
 
-``grad_check`` compares tape gradients of a scalar computation against
-two-sided finite differences. Two tables of randomized probe cases feed it:
-``OP_CASES``, cases named ``<op>`` or ``<op>_<variant>`` after the ops of
-``tensor.OPS``, swept over many draws at a step of 1e-3, and
-``MODULE_CASES``, one row per network block, the loss and the whole network,
-at ``MODULE_EPS``. ``run_suite`` runs the sweep, then the rows. The cases
-run in float64 so the difference quotients keep enough significant digits to
-certify the 1e-3 and 1e-2 tolerances.
+``grad_check`` compares tape gradients of a scalar objective against
+two-sided finite differences: a scalar computation itself, or the weighted
+sum of a computation's outputs, whose gradient the tape starts from the
+weights. Two tables of randomized probe cases feed it: ``OP_CASES``, cases
+named ``<op>`` or ``<op>_<variant>`` after the ops of ``tensor.OPS``, swept
+over many draws at a step of 1e-3, and ``MODULE_CASES``, one row per network
+block, the loss and the whole network, at ``MODULE_EPS``. ``run_suite`` runs
+the sweep, then the rows. The cases run in float64 so the difference
+quotients keep enough significant digits to certify the 1e-3 and 1e-2
+tolerances.
 """
 
 from functools import partial
@@ -28,7 +30,6 @@ from .tensor import (
     conv2d,
     global_pool,
     hadamard,
-    reduce_sum,
     softmax_cross_entropy,
     spatial_moments,
 )
@@ -51,16 +52,31 @@ def _relative_error(analytic, numeric):
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), ERROR_FLOOR)
 
 
-def grad_check(f, inputs, eps=1e-3, coords=None):
+def _objective(out, weights):
+    """The scalar ``grad_check`` differentiates: ``out`` itself without
+    weights, else the sum over outputs of sum(out * w) in float64."""
+    if weights is None:
+        if out.size != 1:
+            raise ValueError(f"grad_check needs a scalar-valued computation, got shape {out.shape}")
+        return out.item()
+    pairs = zip(out, weights) if isinstance(out, tuple) else [(out, weights)]
+    return sum(float(np.sum(o.data * w, dtype=np.float64)) for o, w in pairs)
+
+
+def grad_check(f, inputs, eps=1e-3, coords=None, weights=None):
     """Return the worst relative error between tape and numeric gradients.
 
     Args:
-        f: deterministic callable mapping ``*inputs`` to a scalar tensor.
+        f: deterministic callable mapping ``*inputs`` to a scalar tensor or,
+            with ``weights``, to a tensor or a tuple of tensors.
         inputs: tensors whose elements are perturbed; those with
             ``requires_grad`` receive tape gradients (others count as zero).
         eps: central-difference step.
         coords: optional list of (input_index, flat_element_index) pairs to
             probe; every element of every input when omitted.
+        weights: an array, or a tuple of arrays, of the shapes of ``f``'s
+            outputs. The objective is then the sum of each output times its
+            weights, and the tape seeds each output with its weights.
 
     The error at one element is |a - n| / max(|a|, |n|, 1e-8). Non-finite
     values in the forward evaluations or the tape gradients raise
@@ -68,11 +84,9 @@ def grad_check(f, inputs, eps=1e-3, coords=None):
     """
     with Tape() as tape:
         out = f(*inputs)
-    if out.size != 1:
-        raise ValueError(f"grad_check needs a scalar-valued computation, got shape {out.shape}")
-    if not np.isfinite(out.item()):
+    if not np.isfinite(_objective(out, weights)):
         raise GradCheckError("non-finite objective value at the unperturbed point")
-    tape.backward(out)
+    tape.backward(out, weights)
     grads = []
     for i, t in enumerate(inputs):
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
@@ -91,10 +105,10 @@ def grad_check(f, inputs, eps=1e-3, coords=None):
         orig = flat[j]
         flat[j] = orig + eps
         hi = float(flat[j])
-        fp = f(*inputs).item()
+        fp = _objective(f(*inputs), weights)
         flat[j] = orig - eps
         lo = float(flat[j])
-        fm = f(*inputs).item()
+        fm = _objective(f(*inputs), weights)
         flat[j] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise GradCheckError(f"non-finite objective value at input {i}, element {j}")
@@ -114,10 +128,10 @@ def _uniform(rng, shape, dtype, lo=-2.0, hi=2.0):
     return rng.uniform(lo, hi, size=shape).astype(dtype)
 
 
-def _weight_tensor(rng, shape, dtype):
+def _weights(rng, shape, dtype):
     # Random fixed coefficients make the probe functional sensitive to which
     # output position each gradient lands in.
-    return Tensor(rng.uniform(0.5, 1.5, size=shape).astype(dtype))
+    return rng.uniform(0.5, 1.5, size=shape).astype(dtype)
 
 
 def _separated(rng, shape, dtype, gap=0.05, jitter=0.01):
@@ -143,7 +157,8 @@ def _spread(shape):
 
 
 def _probe(op, *makers):
-    """Case builder for ``reduce_sum(hadamard(op(*inputs), cw))``.
+    """Case builder for the objective sum(op(*inputs) * cw): it returns
+    ``op``, the inputs and ``cw``, the arguments of ``grad_check``.
 
     The inputs are drawn in the order of ``makers``, then the coefficients
     ``cw`` over the shape of the op's output.
@@ -151,12 +166,7 @@ def _probe(op, *makers):
 
     def build(rng, dtype):
         inputs = [Tensor(make(rng, dtype), requires_grad=True) for make in makers]
-        cw = _weight_tensor(rng, op(*inputs).shape, dtype)
-
-        def f(*ts):
-            return reduce_sum(hadamard(op(*ts), cw))
-
-        return f, inputs
+        return op, inputs, _weights(rng, op(*inputs).shape, dtype)
 
     return build
 
@@ -173,36 +183,25 @@ def _conv_case(kernel, x_shape, stride=None):
 
 
 def _conv_into_grad_case(x_shape, stride):
-    """Probe of a 1x1 conv whose input also feeds an op recorded after it, so
-    the conv's backward adds into the gradient the input already holds."""
+    """Probe of a 1x1 conv whose input is weighted and seeded too, so the
+    conv's backward adds into the gradient the input already holds."""
     conv = _conv_case(1, x_shape, stride=stride)
 
     def build(rng, dtype):
-        f, inputs = conv(rng, dtype)
-        cx = _weight_tensor(rng, x_shape, dtype)
+        f, inputs, cw = conv(rng, dtype)
 
         def g(x, *rest):
-            return add(f(x, *rest), reduce_sum(hadamard(x, cx)))
+            return f(x, *rest), x
 
-        return g, inputs
+        return g, inputs, (cw, _weights(rng, x_shape, dtype))
 
     return build
 
 
 def _case_spatial_moments(rng, dtype):
     x = Tensor(_uniform(rng, (2, 2, 2, 4), dtype), requires_grad=True)
-    cm = _weight_tensor(rng, (2, 1, 1, 4), dtype)
-    cv = _weight_tensor(rng, (2, 1, 1, 4), dtype)
-
-    def f(x):
-        mean, var = spatial_moments(x)
-        return reduce_sum(add(hadamard(mean, cm), hadamard(var, cv)))
-
-    return f, [x]
-
-
-def _case_reduce_sum(rng, dtype):
-    return reduce_sum, [Tensor(_uniform(rng, (2, 2, 2, 4), dtype), requires_grad=True)]
+    cm, cv = (_weights(rng, (2, 1, 1, 4), dtype) for _ in range(2))
+    return spatial_moments, [x], (cm, cv)
 
 
 def _case_cross_entropy(rng, dtype):
@@ -212,15 +211,19 @@ def _case_cross_entropy(rng, dtype):
     def f(logits):
         return softmax_cross_entropy(logits, labels)
 
-    return f, [logits]
+    return f, [logits], None
 
 
 _MAP = (2, 2, 2, 4)
 _MAP3 = (2, 2, 2, 3)
 _POOLED = (2, 3, 4, 3)
 
-# Each case keeps its slot: the sweep seeds case i with [97, i, seed]. The
-# gelu derivative crosses zero near x = -0.7518; relu kinks at zero.
+# A case maps (rng, dtype) to (f, inputs, weights), the arguments of
+# ``grad_check``, with weights None for a scalar f. Each case keeps its slot,
+# as the sweep seeds case i with [97, i, seed]: when the op that summed a
+# tensor into a scalar went, softmax_cross_entropy and the five conv2d cases
+# after it moved up a slot and drew other values. The gelu derivative
+# crosses zero near x = -0.7518; relu kinks at zero.
 OP_CASES = {
     "conv2d": _conv_case(2, (1, 3, 3, 2)),
     # A fully connected layer: a 1x1 conv on a (n, 1, 1, cin) vector.
@@ -236,7 +239,6 @@ OP_CASES = {
     "hadamard_scalar": _probe(hadamard, _draw(_MAP3), _draw((1, 1, 1, 1))),
     "add": _probe(add, _draw(_MAP3), _draw(_MAP3)),
     "concat_channels": _probe(concat_channels, _draw(_MAP3), _draw(_MAP3)),
-    "reduce_sum": _case_reduce_sum,
     "softmax_cross_entropy": _case_cross_entropy,
     # The 1x1 stride-1 conv reads its input as the im2col matrix; the
     # strided 1x1 and the 3x3 convs build it tap by tap.
@@ -257,8 +259,8 @@ def per_op_sweep(seeds=100):
         worst = 0.0
         for s in range(seeds):
             rng = np.random.default_rng([97, op_index, s])
-            f, inputs = builder(rng, np.float64)
-            worst = max(worst, grad_check(f, inputs))
+            f, inputs, weights = builder(rng, np.float64)
+            worst = max(worst, grad_check(f, inputs, weights=weights))
         results[name] = worst
     return results
 
@@ -278,8 +280,8 @@ def _block_probe(block, shape, rng):
     """``_probe`` of ``block`` on a (-1, 1) input, over the input and the
     block's parameters, which are perturbed in place, where the block reads
     them."""
-    f, (x,) = _probe(block, _draw(shape, -1.0, 1.0))(rng, np.float64)
-    return (lambda x, *_: f(x)), [x] + block.parameters()
+    f, (x,), cw = _probe(block, _draw(shape, -1.0, 1.0))(rng, np.float64)
+    return (lambda x, *_: f(x)), [x] + block.parameters(), cw
 
 
 def _live_branches(module, rng):
@@ -294,9 +296,9 @@ def _backbone_case(seed):
     backbone = build_backbone(PRESETS["small"], seed=seed, dtype=np.float64)
     _live_branches(backbone, np.random.default_rng([211, seed, 1]))
     rng = np.random.default_rng([211, seed])
-    f, inputs = _block_probe(backbone, (1, 8, 8, 3), rng)
+    f, inputs, cw = _block_probe(backbone, (1, 8, 8, 3), rng)
     coords = [(0, j) for j in range(inputs[0].size)] + _sample_coords(inputs, 100, rng)
-    return f, inputs, coords
+    return f, inputs, cw, coords
 
 
 def _tafe_case(seed):
@@ -314,7 +316,7 @@ def _dcif_case(seed):
         logits, _gate = block(x)
         return softmax_cross_entropy(logits, labels)
 
-    return f, [x] + block.parameters(), None
+    return f, [x] + block.parameters(), None, None
 
 
 def _loss_case(seed):
@@ -333,12 +335,13 @@ def _model_case(seed):
 
     params = model.parameters()
     required = [(i, 0) for i, p in enumerate(params) if p.name in ("tafe.alpha", "tafe.beta")]
-    return f, params, _sample_coords(params, 50, rng, required=required)
+    return f, params, None, _sample_coords(params, 50, rng, required=required)
 
 
 # The module rows of the suite, in order: name -> (case, tolerance). A case
-# maps a seed to (f, inputs, coords), the arguments of ``grad_check``, with
-# coords None to probe every element.
+# maps a seed to (f, inputs, weights, coords), the arguments of
+# ``grad_check``, with weights None for a scalar f and coords None to probe
+# every element.
 MODULE_CASES = {
     "backbone": (_backbone_case, MODULE_TOLERANCE),
     "tafe": (_tafe_case, MODULE_TOLERANCE),
@@ -350,8 +353,8 @@ MODULE_CASES = {
 
 def check_module(name, seed=0):
     """The worst relative error of ``MODULE_CASES[name]`` drawn at ``seed``."""
-    f, inputs, coords = MODULE_CASES[name][0](seed)
-    return grad_check(f, inputs, eps=MODULE_EPS, coords=coords)
+    f, inputs, weights, coords = MODULE_CASES[name][0](seed)
+    return grad_check(f, inputs, eps=MODULE_EPS, coords=coords, weights=weights)
 
 
 def run_suite(seed=0, op_seeds=100, progress=None):

@@ -29,15 +29,15 @@ keeps its tensors' slots and, of their values, only the arrays its derivative
 formula reads: a convolution its input, when the kernel needs a gradient, and
 its kernel; relu its output; ``spatial_moments`` its input; ``hadamard`` each
 operand when the other needs a gradient. ``add``, ``concat_channels``,
-``global_pool``, ``reduce_sum`` and ``softmax_cross_entropy`` keep no tensor
-data. So once the caller drops an intermediate tensor, a value that no
-backward reads, such as a convolution's or a sum's output, is freed during the
-forward pass. Beyond those arrays an op keeps only small values, such as
-per-channel means, softmax probabilities or max-pool indices, and the local
-derivative of sigmoid and gelu. Backward rebuilds what a copy or a comparison
-gives back: a convolution's im2col matrix, relu's mask and the centered values
-of ``spatial_moments``. The rebuilt values carry the forward pass's own bits,
-so gradients do not change.
+``global_pool`` and ``softmax_cross_entropy`` keep no tensor data. So once
+the caller drops an intermediate tensor, a value that no backward reads, such
+as a convolution's or a sum's output, is freed during the forward pass.
+Beyond those arrays an op keeps only small values, such as per-channel means,
+softmax probabilities or max-pool indices, and the local derivative of
+sigmoid and gelu. Backward rebuilds what a copy or a comparison gives back: a
+convolution's im2col matrix, relu's mask and the centered values of
+``spatial_moments``. The rebuilt values carry the forward pass's own bits, so
+gradients do not change.
 
 A convolution's forward builds its im2col patch matrix and multiplies it a
 block of whole samples at a time, each block at least ``_PATCH_BLOCK``
@@ -85,10 +85,11 @@ run, the node may build its input's gradient over them: the activations
 multiply their output's gradient in place, ``add`` hands it to its first
 operand and ``hadamard`` writes its first operand's gradient over it. As
 the slot owns its gradient, a 1x1 convolution adds its input's term into it
-in place. The sorted reductions, ``spatial_moments``' centered values and
-gradient, max pooling's argmax and the float64 products behind a channel
-gate's gradient go a sample at a time, so no copy of the whole batch's map
-is made.
+in place. The seeds that start a backward are copied in through ``_accum``
+too, so no backward writes into the caller's arrays. The sorted reductions,
+``spatial_moments``' centered values and gradient, max pooling's argmax and
+the float64 products behind a channel gate's gradient go a sample at a time,
+so no copy of the whole batch's map is made.
 """
 
 import math
@@ -291,20 +292,35 @@ class Tape:
         stack = _TAPES.stack
         return stack[-1] if stack else None
 
-    def backward(self, loss):
-        """Seed d(loss)/d(loss) = 1 and accumulate gradients into the leaves.
+    def backward(self, outs, grads=None):
+        """Seed ``outs`` with ``grads`` and accumulate gradients into the leaves.
 
-        Every recorded output, the loss included, ends with ``grad`` None.
+        ``outs`` is a tensor or a tuple of tensors, ``grads`` the matching
+        array or tuple of arrays, each of its tensor's shape; without
+        ``grads``, ``outs`` is one scalar, seeded with 1. Each seed goes
+        through ``_accum``, so the tensor's gradient is a copy in its dtype,
+        -0 as +0, and a seeded leaf ends with its seed plus the terms the
+        recorded ops give it. Every recorded output, the seeded ones
+        included, ends with ``grad`` None.
         """
-        if loss.size != 1:
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if isinstance(outs, Tensor):
+            outs, grads = (outs,), None if grads is None else (grads,)
+        if grads is None:
+            if len(outs) != 1 or outs[0].size != 1:
+                raise ShapeError("backward needs seeds unless it starts from one scalar, "
+                                 f"got shapes {[out.shape for out in outs]}")
+            grads = (np.ones(outs[0].shape),)
+        for out, grad in zip(outs, grads, strict=True):
+            if np.shape(grad) != out.shape:
+                raise ShapeError(f"seed of shape {np.shape(grad)} for an output of shape {out.shape}")
         if self.replayed:
             raise RuntimeError(
                 "tape already replayed: its first backward released the recorded "
                 "values and gradients; record a new tape"
             )
         self.replayed = True
-        loss.grad = np.ones(loss.shape, dtype=loss.data.dtype)
+        for out, grad in zip(outs, grads):
+            _accum(out, grad)
         for node in reversed(self.nodes):
             if any(out.grad is not None for out in node.outs):
                 node.run()
@@ -854,20 +870,6 @@ def concat_channels(a, b):
         g = out_slot.grad
         _accum(a_slot, g[..., :ca])
         _accum(b_slot, g[..., ca:])
-
-    _record((out,), run)
-    return out
-
-
-@_op
-def reduce_sum(x):
-    """Sum every element into a (1, 1, 1, 1) tensor (float64 accumulation)."""
-    total = x.data.astype(np.float64).sum()
-    out = Tensor(np.full((1, 1, 1, 1), total).astype(x.dtype), requires_grad=x.requires_grad)
-    x_slot, out_slot = x._slot, out._slot
-
-    def run():
-        _accum(x_slot, np.broadcast_to(out_slot.grad.reshape(()), x_slot.shape))
 
     _record((out,), run)
     return out

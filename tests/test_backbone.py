@@ -20,8 +20,6 @@ from tkfnet.tensor import (
     activation,
     add,
     global_pool,
-    hadamard,
-    reduce_sum,
 )
 
 
@@ -207,5 +205,6 @@ def test_projecting_block_backward_holds_no_zero_filled_input_gradient():
     x = Tensor(np.random.default_rng(7).normal(size=(2, 112, 112, 32)).astype(np.float32),
                requires_grad=True)
     with Tape() as tape:
-        loss = reduce_sum(hadamard(block(x), Tensor(np.ones((2, 56, 56, 32), dtype=np.float32))))
-    assert traced_peak(lambda: tape.backward(loss)) < 4.2 * x.data.nbytes
+        out = block(x)
+    seed = np.ones(out.shape, dtype=np.float32)
+    assert traced_peak(lambda: tape.backward(out, seed)) < 4.2 * x.data.nbytes

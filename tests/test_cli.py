@@ -85,7 +85,7 @@ class TestTrain:
         assert manifest["input_size"] == "16"
         assert manifest["class_0"] == "grating_0"
         assert manifest["class_2"] == "grating_2"
-        assert "out" not in manifest
+        assert not {"out", "power", "momentum"} & manifest.keys()
 
     def test_weights_file_loads(self, trained):
         arrays = read_weights(trained / "weights.tkfw")
@@ -177,7 +177,8 @@ class TestConfigFile:
         assert "bad.cfg:2" in err
         assert "learning_rate" in err
 
-    @pytest.mark.parametrize("line", ["normalize = off", "classes = 3", "val_split = 0.25"])
+    @pytest.mark.parametrize("line", ["normalize = off", "classes = 3", "val_split = 0.25",
+                                      "power = 0.5", "momentum = 0.9"])
     def test_settings_no_run_uses_are_unknown_keys(self, tmp_path, capsys, line):
         config = tmp_path / "old.cfg"
         config.write_text(line + "\n")
@@ -577,7 +578,8 @@ class TestManifestValues:
     @pytest.mark.parametrize("command", ["infer", "eval"])
     def test_older_manifest_keys_are_read(self, trained, synth_tree, tmp_path, capsys, command):
         # Manifests written before those settings went record them like this.
-        weights = self.broken_copy(trained, tmp_path, {"classes": "3", "normalize": "on", "val_split": "0.0"})
+        weights = self.broken_copy(trained, tmp_path, {"classes": "3", "normalize": "on", "val_split": "0.0",
+                                                       "power": "0.5", "momentum": "0.9"})
         assert main(self.argv(command, weights, synth_tree)) == 0
         assert "# input_size=16\n" in capsys.readouterr().out
 

@@ -41,7 +41,6 @@ from tkfnet.tensor import (
     conv2d,
     global_pool,
     hadamard,
-    reduce_sum,
     softmax_cross_entropy,
     spatial_moments,
 )
@@ -186,7 +185,7 @@ def conv_output_and_grads(conv, x, w, b, upstream, stride):
     x, w, b = (Tensor(t.copy(), requires_grad=True) for t in (x, w, b))
     with Tape() as tape:
         out = conv(x, w, b, stride=stride)
-        tape.backward(reduce_sum(hadamard(out, Tensor(upstream))))
+        tape.backward(out, upstream)
     return out.data, x.grad, w.grad, b.grad
 
 
@@ -430,8 +429,8 @@ def test_taped_step_leaves_little_of_the_blas_buffers_resident():
 @pytest.mark.parametrize("stride", [1, 2])
 def test_grad_check_passes_through_one_sample_blocks(monkeypatch, stride):
     monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", 1)
-    f, inputs = _conv_case(3, (3, 4, 5, 2), stride=stride)(np.random.default_rng(stride), np.float64)
-    assert grad_check(f, inputs) <= OP_TOLERANCE
+    f, inputs, cw = _conv_case(3, (3, 4, 5, 2), stride=stride)(np.random.default_rng(stride), np.float64)
+    assert grad_check(f, inputs, weights=cw) <= OP_TOLERANCE
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -465,17 +464,17 @@ def test_kernel_rows_start_at_the_floor(monkeypatch):
     for floor, expected in ((band + 1, [(0, 3)]), (band, [(0, 1), (1, 2), (2, 3)])):
         monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", floor)
         with Tape() as tape:
-            loss = reduce_sum(conv2d(x, w, b))
+            out = conv2d(x, w, b)
         del seen[:]
-        tape.backward(loss)
+        tape.backward(out, np.ones(out.shape))
         assert seen == expected
 
 
 @pytest.mark.parametrize("k, stride", [(3, 3), (5, 1), (5, 2)])
 def test_grad_check_passes_through_kernel_rows(monkeypatch, k, stride):
     monkeypatch.setattr(tkfnet.tensor, "_PATCH_BLOCK", 1)
-    f, inputs = _conv_case(k, (2, 5, 4, 3), stride=stride)(np.random.default_rng(k + stride), np.float64)
-    assert grad_check(f, inputs) <= OP_TOLERANCE
+    f, inputs, cw = _conv_case(k, (2, 5, 4, 3), stride=stride)(np.random.default_rng(k + stride), np.float64)
+    assert grad_check(f, inputs, weights=cw) <= OP_TOLERANCE
 
 
 def test_fault_scale_reaches_the_conv_input_gradient(monkeypatch):
@@ -485,33 +484,33 @@ def test_fault_scale_reaches_the_conv_input_gradient(monkeypatch):
     plain = conv_output_and_grads(conv2d, *arrays, upstream, 1)
     scale_gradients(monkeypatch, 2.0)
     scaled = conv_output_and_grads(conv2d, *arrays, upstream, 1)
-    # Three writes scale: the sum's gradient, the product's and the conv's.
+    # Two writes scale: the seed's and the conv's.
     for a, b in zip(plain[1:], scaled[1:]):
-        assert_same_bits(8 * a, b)
+        assert_same_bits(4 * a, b)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_fault_scale_reaches_the_1x1_term_added_into_a_held_gradient(monkeypatch, stride):
-    # The input also feeds a product with zeros, recorded after the conv, so
-    # it holds a gradient of +0 when the conv's term is added into it.
+    # The input itself is seeded with zeros, so it holds a gradient of +0
+    # when the conv's term is added into it.
     rng = np.random.default_rng(17)
     data = rng.normal(size=(2, 5, 5, 3)).astype(np.float32)
     weight, bias = (Tensor(rng.normal(size=s).astype(np.float32)) for s in ((1, 1, 3, 4), (1, 1, 1, 4)))
-    upstream = Tensor(rng.normal(size=(2, -(-5 // stride), -(-5 // stride), 4)).astype(np.float32))
+    upstream = rng.normal(size=(2, -(-5 // stride), -(-5 // stride), 4)).astype(np.float32)
 
     def input_grad():
         x = Tensor(data, requires_grad=True)
         with Tape() as tape:
             out = conv2d(x, weight, bias, stride=stride)
-            held = reduce_sum(hadamard(x, Tensor(np.zeros_like(data))))
-            tape.backward(add(reduce_sum(hadamard(out, upstream)), held))
+            tape.backward((out, x), (upstream, np.zeros_like(data)))
         return x.grad
 
     plain = input_grad()
     assert np.count_nonzero(plain) == plain[:, ::stride, ::stride].size
     scale_gradients(monkeypatch, 2.0)
-    # Four writes scale: add's, the sum's, the product's and the conv's.
-    assert_same_bits(16 * plain, input_grad())
+    # Two writes scale: the output's seed and the conv's. The input's seed
+    # is zero.
+    assert_same_bits(4 * plain, input_grad())
 
 
 def test_fault_scale_reaches_the_relu_input_gradient(monkeypatch):
@@ -521,13 +520,13 @@ def test_fault_scale_reaches_the_relu_input_gradient(monkeypatch):
     def relu_input_grad():
         x = Tensor(data, requires_grad=True)
         with Tape() as tape:
-            tape.backward(reduce_sum(hadamard(activation("relu", x), Tensor(upstream))))
+            tape.backward(activation("relu", x), upstream)
         return x.grad
 
     plain = relu_input_grad()
     scale_gradients(monkeypatch, 2.0)
-    # Three writes scale: the sum's gradient, the product's and relu's.
-    assert_same_bits(8 * plain, relu_input_grad())
+    # Two writes scale: the seed's and relu's.
+    assert_same_bits(4 * plain, relu_input_grad())
 
 
 def test_im2col_copies_a_chunk_of_samples_per_pass(monkeypatch):
@@ -552,10 +551,10 @@ def test_im2col_copies_a_chunk_of_samples_per_pass(monkeypatch):
     bias = Tensor(np.zeros((1, 1, 1, 32), dtype=np.float32))
     del calls[:]
     with Tape() as tape:
-        loss = reduce_sum(conv2d(x, weight, bias, stride=2))
+        out = conv2d(x, weight, bias, stride=2)
     assert calls == [2] * 4
     del calls[:]
-    tape.backward(loss)
+    tape.backward(out, np.ones(out.shape, dtype=np.float32))
     assert calls == [2] * 4 * 3
 
 
@@ -581,8 +580,9 @@ def strided_stage0_conv_backward_peak(x_grad):
     weight = Tensor(rng.normal(size=(3, 3, c, c)).astype(np.float32), requires_grad=True)
     bias = Tensor(np.zeros((1, 1, 1, c), dtype=np.float32), requires_grad=True)
     with Tape() as tape:
-        loss = reduce_sum(conv2d(x, weight, bias, stride=2))
-        peak = traced_peak(lambda: tape.backward(loss))
+        out = conv2d(x, weight, bias, stride=2)
+        seed = np.ones(out.shape, dtype=np.float32)
+        peak = traced_peak(lambda: tape.backward(out, seed))
     oh, ow, _ = _conv_geometry(h, w, 3, 3, 2)
     return peak, n * oh * ow * 3 * 3 * c * 4
 
@@ -1011,7 +1011,7 @@ def test_global_pool_matches_reference_bits(kind, inputs, shape, dtype):
             untaped = pool(kind, x)
             with Tape() as tape:
                 out = pool(kind, x)
-                tape.backward(reduce_sum(hadamard(out, Tensor(upstream))))
+                tape.backward(out, upstream)
         results.append((untaped.data, out.data, x.grad))
     for name, a, b in zip(("untaped output", "taped output", "x grad"), *results):
         assert_same_bits(a, b, name)
@@ -1066,7 +1066,7 @@ def test_hadamard_matches_reference_product_bits(inputs, case, dtype):
             untaped = op(x, y)
             with Tape() as tape:
                 out = op(x, y)
-                tape.backward(reduce_sum(hadamard(out, Tensor(upstream))))
+                tape.backward(out, upstream)
         results.append((untaped.data, out.data, x.grad, y.grad))
     for name, a, b in zip(("untaped output", "taped output", "x grad", "y grad"), *results):
         assert_same_bits(a, b, name)

@@ -25,33 +25,42 @@ from tkfnet.tensor import (
     Tape,
     Tensor,
     hadamard,
-    reduce_sum,
     softmax_cross_entropy,
 )
 
 
 def quadratic_case(seed=0):
+    """x * x weighted by cw: the input x and the weights cw."""
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(1, 2, 2, 3)), requires_grad=True)
-    cw = Tensor(rng.uniform(0.5, 1.5, size=x.shape))
+    return x, rng.uniform(0.5, 1.5, size=x.shape)
 
-    def f(x):
-        return reduce_sum(hadamard(hadamard(x, x), cw))
 
-    return f, x
+def square(x):
+    return hadamard(x, x)
 
 
 class TestGradCheck:
     def test_accepts_correct_gradients(self):
-        f, x = quadratic_case()
-        assert grad_check(f, [x]) <= 1e-6
+        x, cw = quadratic_case()
+        assert grad_check(square, [x], weights=cw) <= 1e-6
 
     def test_flags_scaled_gradients(self, monkeypatch):
         # Every accumulated gradient is multiplied, which a central
         # difference immediately exposes.
         scale_gradients(monkeypatch, 1.5)
-        f, x = quadratic_case()
-        assert grad_check(f, [x]) > 0.3
+        x, cw = quadratic_case()
+        assert grad_check(square, [x], weights=cw) > 0.3
+
+    def test_weighted_objective_sums_every_output(self):
+        # d/dx of sum(cw * x * x) + sum(3 * x) is 2 cw x + 3.
+        x, cw = quadratic_case()
+        both = (cw, np.full(x.shape, 3.0))
+        assert grad_check(lambda x: (square(x), x), [x], weights=both) <= 1e-6
+        with Tape() as tape:
+            out = square(x)
+        tape.backward((out, x), both)
+        np.testing.assert_allclose(x.grad, 2 * cw * x.data + 3.0, rtol=1e-15)
 
     def test_non_scalar_objective_rejected(self):
         x = Tensor(np.ones((1, 1, 1, 2)), requires_grad=True)
@@ -61,7 +70,7 @@ class TestGradCheck:
     def test_non_finite_forward_detected(self):
         x = Tensor(np.full((1, 1, 1, 1), np.inf), requires_grad=True)
         with pytest.raises(GradCheckError, match="non-finite"):
-            grad_check(lambda x: reduce_sum(x), [x])
+            grad_check(square, [x])
 
     def test_coords_limit_probing(self):
         calls = []
@@ -69,16 +78,16 @@ class TestGradCheck:
 
         def f(x):
             calls.append(1)
-            return reduce_sum(x)
+            return square(x)
 
-        grad_check(f, [x], coords=[(0, 0), (0, 3)])
+        grad_check(f, [x], coords=[(0, 0), (0, 3)], weights=np.ones(x.shape))
         # One tape evaluation plus two probes of two evaluations each.
         assert len(calls) == 5
 
     def test_inputs_restored_after_probing(self):
-        f, x = quadratic_case()
+        x, cw = quadratic_case()
         before = x.data.copy()
-        grad_check(f, [x])
+        grad_check(square, [x], weights=cw)
         np.testing.assert_array_equal(x.data, before)
 
     def test_catches_missing_gradient_term(self):
@@ -87,16 +96,13 @@ class TestGradCheck:
         x = Tensor(np.full((1, 1, 1, 1), 2.0), requires_grad=False)
         y = Tensor(np.full((1, 1, 1, 1), 2.0), requires_grad=True)
 
-        def f(y):
-            return reduce_sum(hadamard(x, x))
-
-        assert grad_check(f, [y]) == 0.0  # y genuinely unused
-        assert grad_check(lambda y: reduce_sum(hadamard(y, y)), [y]) <= 1e-6
+        assert grad_check(lambda y: square(x), [y]) == 0.0  # y genuinely unused
+        assert grad_check(square, [y]) <= 1e-6
 
 
 def case_nodes(name):
     """The node names that case ``name`` records under a tape."""
-    f, inputs = OP_CASES[name](np.random.default_rng(0), np.float64)
+    f, inputs, _ = OP_CASES[name](np.random.default_rng(0), np.float64)
     with Tape() as tape:
         f(*inputs)
     return {node.op for node in tape.nodes}
@@ -121,6 +127,12 @@ class TestOpSweep:
         assert "global_pool[max]" in model_ops
         assert model_ops <= case_ops, sorted(model_ops - case_ops)
 
+    def test_every_op_is_recorded_by_a_model_step(self):
+        # An op that no model records is a hand-written backward that only
+        # its own probe case exercises.
+        model_ops = {n.partition("[")[0] for n in model_step_nodes()}
+        assert sorted(OPS.keys() - model_ops) == []
+
     def test_every_op_records_nodes_under_its_own_name(self):
         # A node is named after the function that defines its backward, so a
         # model node that names no registered op comes from a function that
@@ -138,23 +150,24 @@ class TestOpSweep:
         # Scaling what _accum receives breaks every case's check. The ops
         # around a probed op scale too, so each input's own gradient must
         # also be seen passing through _accum.
-        f, inputs = OP_CASES[name](np.random.default_rng(0), np.float64)
+        f, inputs, weights = OP_CASES[name](np.random.default_rng(0), np.float64)
         written = []
         accum = tkfnet.tensor._accum
         monkeypatch.setattr(tkfnet.tensor, "_accum",
                             lambda slot, grad, **kw: written.append(slot) or accum(slot, grad, **kw))
         scale_gradients(monkeypatch, 1.5)
-        assert grad_check(f, inputs) > OP_TOLERANCE
+        assert grad_check(f, inputs, weights=weights) > OP_TOLERANCE
         assert all(any(slot is x._slot for slot in written) for x in inputs)
 
     def test_case_builders_are_deterministic(self):
         for builder in OP_CASES.values():
             rng1 = np.random.default_rng(7)
             rng2 = np.random.default_rng(7)
-            _, inputs1 = builder(rng1, np.float64)
-            _, inputs2 = builder(rng2, np.float64)
+            _, inputs1, weights1 = builder(rng1, np.float64)
+            _, inputs2, weights2 = builder(rng2, np.float64)
             for a, b in zip(inputs1, inputs2):
                 np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_equal(weights1, weights2)
 
 
 class TestModuleChecks:
@@ -173,16 +186,16 @@ class TestModuleChecks:
     def test_every_parameter_gets_a_nonzero_gradient(self, name):
         # With every conv_b at zero, as the model starts, each conv_a's
         # gradient is exactly 0 and no probe of it can fail.
-        f, inputs, _ = MODULE_CASES[name][0](0)
+        f, inputs, weights, _ = MODULE_CASES[name][0](0)
         with Tape() as tape:
             out = f(*inputs)
-        tape.backward(out)
+        tape.backward(out, weights)
         params = [p for p in inputs if isinstance(p, Parameter)]
         assert [p.name for p in params if p.grad is None or not p.grad.any()] == []
         assert sum(".conv_a." in p.name for p in params) == 4
 
     def test_a_fault_in_conv_a_alone_fails_the_full_model_case(self, monkeypatch):
-        f, inputs, coords = MODULE_CASES["full-model"][0](0)
+        f, inputs, weights, coords = MODULE_CASES["full-model"][0](0)
         faulty = {p._slot for p in inputs if ".conv_a." in p.name}
         accum = tkfnet.tensor._accum
 
@@ -190,7 +203,7 @@ class TestModuleChecks:
             accum(slot, grad * 1.5 if slot in faulty else grad, **kw)
 
         monkeypatch.setattr(tkfnet.tensor, "_accum", scaled)
-        assert grad_check(f, inputs, eps=MODULE_EPS, coords=coords) > MODULE_TOLERANCE
+        assert grad_check(f, inputs, eps=MODULE_EPS, coords=coords, weights=weights) > MODULE_TOLERANCE
 
 
 ROSTER = ["tensor-core", *MODULE_CASES]

@@ -245,7 +245,7 @@ def test_no_tape_closure_holds_a_tensor():
         softmax_cross_entropy(model(Tensor(SMALL_INPUT)), np.array([0, 2]))
     cells = closure_cells(tape)
     for i, build in enumerate(OP_CASES.values()):
-        f, inputs = build(np.random.default_rng(i), np.float64)
+        f, inputs, _ = build(np.random.default_rng(i), np.float64)
         with Tape() as tape:
             f(*inputs)
         cells += closure_cells(tape)

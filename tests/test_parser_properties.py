@@ -99,7 +99,7 @@ def test_ppm_decode_or_raise_data_error(data):
 # One value each key's parser accepts, and values that some parsers reject.
 CONFIG_VALID = {
     "model": "small", "epochs": "2", "batch_size": "4", "lr_init": "0.01",
-    "lr_end": "0", "power": "0.5", "momentum": "0.9", "seed": "-7",
+    "lr_end": "0", "seed": "-7",
     "input_size": "16", "data": "synth:3x4x16", "out": "runs/a b",
 }
 CONFIG_INVALID = ["", "x", "-3", "1e999", "nan", "1.5", "0"]

@@ -16,7 +16,6 @@ from tkfnet.tensor import (
     conv2d,
     global_pool,
     hadamard,
-    reduce_sum,
     softmax_cross_entropy,
     spatial_moments,
     _erf,
@@ -79,8 +78,9 @@ class TestConv2d:
         w = t(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
         b = t(rng.normal(size=(1, 1, 1, 3)), requires_grad=True)
         err = grad_check(
-            lambda *ts: reduce_sum(activation("gelu", conv2d(x, w, b, stride=2))),
+            lambda *ts: activation("gelu", conv2d(x, w, b, stride=2)),
             [x, w, b],
+            weights=np.ones((2, 3, 3, 3)),
         )
         assert err <= 1e-3
 
@@ -109,7 +109,7 @@ class TestConv2dVector:
         x = t(rng.normal(size=(3, 1, 1, 5)), requires_grad=True)
         w = t(rng.normal(size=(1, 1, 5, 4)), requires_grad=True)
         b = t(rng.normal(size=(1, 1, 1, 4)), requires_grad=True)
-        err = grad_check(lambda *ts: reduce_sum(conv2d(x, w, b)), [x, w, b])
+        err = grad_check(lambda *ts: conv2d(x, w, b), [x, w, b], weights=np.ones((3, 1, 1, 4)))
         assert err <= 1e-3
 
 
@@ -152,7 +152,7 @@ class TestActivations:
             with Tape() as tape:
                 y = activation("gelu", x)
                 if taped:
-                    tape.backward(reduce_sum(y))
+                    tape.backward(y, np.ones(y.shape))
         out = y.data.reshape(-1)
         assert out[0] == np.inf and np.isnan(out[1]) and np.isnan(out[2])
         assert out[3] == dtype(1e30)
@@ -172,7 +172,7 @@ class TestActivations:
         vals = rng.normal(size=(2, 3, 3, 2))
         vals[np.abs(vals) < 0.1] += 0.2
         x = t(vals, requires_grad=True)
-        err = grad_check(lambda *ts: reduce_sum(activation(kind, x)), [x])
+        err = grad_check(lambda *ts: activation(kind, x), [x], weights=np.ones(x.shape))
         assert err <= 1e-3
 
 
@@ -248,11 +248,8 @@ class TestSpatialMoments:
         rng = np.random.default_rng(15)
         x = t(rng.normal(size=(2, 4, 4, 2)), requires_grad=True)
 
-        def f(*ts):
-            mean, var = spatial_moments(x)
-            return reduce_sum(add(mean, hadamard(var, scalar_tensor(0.5, np.float64))))
-
-        assert grad_check(f, [x]) <= 1e-3
+        weights = (np.ones((2, 1, 1, 2)), np.full((2, 1, 1, 2), 0.5))
+        assert grad_check(lambda *ts: spatial_moments(x), [x], weights=weights) <= 1e-3
 
 
 class TestGlobalPool:
@@ -291,7 +288,7 @@ class TestGlobalPool:
         vals = rng.permutation(50)[:32].astype(np.float64).reshape(2, 4, 2, 2)
         x = Tensor(vals)
         x.requires_grad = True
-        err = grad_check(lambda *ts: reduce_sum(global_pool(kind, x)), [x])
+        err = grad_check(lambda *ts: global_pool(kind, x), [x], weights=np.ones((2, 1, 1, 2)))
         assert err <= 1e-3
 
 
@@ -332,9 +329,9 @@ class TestElementwise:
         s = t(rng.normal(size=(1, 1, 1, 1)), requires_grad=True)
 
         def f(*ts):
-            return reduce_sum(hadamard(add(hadamard(a, b), hadamard(a, v)), s))
+            return hadamard(add(hadamard(a, b), hadamard(a, v)), s)
 
-        assert grad_check(f, [a, b, v, s]) <= 1e-3
+        assert grad_check(f, [a, b, v, s], weights=np.ones(a.shape)) <= 1e-3
 
 
 class TestConcatChannels:
@@ -359,9 +356,8 @@ class TestConcatChannels:
         a = t(np.ones((1, 1, 1, 2)), requires_grad=True)
         b = t(np.ones((1, 1, 1, 3)), requires_grad=True)
         with Tape() as tape:
-            y = reduce_sum(hadamard(concat_channels(a, b), channel_vector(
-                [1.0, 2.0, 3.0, 4.0, 5.0], dtype=np.float64)))
-            tape.backward(y)
+            y = concat_channels(a, b)
+            tape.backward(y, np.arange(1.0, 6.0).reshape(1, 1, 1, 5))
         np.testing.assert_array_equal(a.grad.reshape(-1), [1.0, 2.0])
         np.testing.assert_array_equal(b.grad.reshape(-1), [3.0, 4.0, 5.0])
 
@@ -418,21 +414,66 @@ class TestTapeSemantics:
     def test_gradients_accumulate_on_reuse(self):
         x = t(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         with Tape() as tape:
-            y = reduce_sum(add(x, x))
+            y = add(x, x)
             tape.backward(y)
         assert x.grad.item() == 2.0
 
     def test_backward_requires_scalar(self):
+        # Without seeds, backward starts only from one scalar.
         x = t(np.zeros((1, 1, 1, 2)), requires_grad=True)
+        s = t(np.zeros((1, 1, 1, 1)), requires_grad=True)
         with Tape() as tape:
             y = add(x, x)
-            with pytest.raises(ShapeError):
-                tape.backward(y)
+            for outs in (y, (s, s)):
+                with pytest.raises(ShapeError, match="needs seeds"):
+                    tape.backward(outs)
+        assert not tape.replayed and x.grad is None and s.grad is None
+
+    def test_seed_array_is_left_alone(self):
+        # relu writes its input's gradient over its output's, which is the
+        # seed's copy, not the caller's array.
+        x = t(np.array([1.0, -2.0, 3.0]).reshape(1, 1, 1, 3), requires_grad=True)
+        seed = np.array([2.0, 5.0, 7.0]).reshape(1, 1, 1, 3)
+        with Tape() as tape:
+            tape.backward(activation("relu", x), seed)
+        np.testing.assert_array_equal(seed.reshape(-1), [2.0, 5.0, 7.0])
+        np.testing.assert_array_equal(x.grad.reshape(-1), [2.0, 0.0, 7.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_seed_lands_as_positive_zero(self, dtype):
+        x = t(np.ones((1, 1, 1, 3)), requires_grad=True, dtype=dtype)
+        seed = np.array([-0.0, 1.5, -0.0]).reshape(1, 1, 1, 3)
+        Tape().backward(x, seed)
+        assert x.grad.dtype == dtype and x.grad is not seed
+        np.testing.assert_array_equal(x.grad.reshape(-1), [0.0, 1.5, 0.0])
+        assert not np.signbit(x.grad).any()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (1, 1, 2, 1)], ids=["size", "layout"])
+    def test_wrong_shape_seed_replays_nothing(self, shape):
+        # The leaf's seed comes first and fits, but no seed is taken when
+        # another does not.
+        x = t(np.ones((1, 1, 1, 2)), requires_grad=True)
+        with Tape() as tape:
+            y = add(x, x)
+        with pytest.raises(ShapeError, match="seed of shape"):
+            tape.backward((x, y), (np.ones(x.shape), np.ones(shape)))
+        assert not tape.replayed and x.grad is None and y.grad is None
+        tape.backward(y, np.ones(y.shape))
+        np.testing.assert_array_equal(x.grad.reshape(-1), [2.0, 2.0])
+
+    def test_seeded_leaf_adds_the_recorded_terms(self):
+        x = t(np.array([1.0, 2.0]).reshape(1, 1, 1, 2), requires_grad=True)
+        with Tape() as tape:
+            y = hadamard(x, x)
+        tape.backward((y, x), (np.array([1.0, 3.0]).reshape(1, 1, 1, 2), np.full((1, 1, 1, 2), 10.0)))
+        # 10 + 2 * x * seed
+        np.testing.assert_array_equal(x.grad.reshape(-1), [12.0, 22.0])
+        assert y.grad is None
 
     def test_replayed_tape_refuses_a_second_backward(self):
         x = t(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         with Tape() as tape:
-            y = reduce_sum(add(x, x))
+            y = add(x, x)
         tape.backward(y)
         with pytest.raises(RuntimeError, match="tape already replayed"):
             tape.backward(y)
@@ -445,11 +486,10 @@ class TestTapeSemantics:
         with Tape() as tape:
             h = activation("relu", x)
             activation("sigmoid", h)
-            y = reduce_sum(h)
-            tape.backward(y)
+            tape.backward(h, np.ones(h.shape))
         np.testing.assert_array_equal(x.grad.reshape(-1), [1.0, 1.0])
-        assert h.grad is None and y.grad is None
-        assert [node.op for node in tape.nodes] == ["activation[relu]", "activation[sigmoid]", "reduce_sum"]
+        assert h.grad is None
+        assert [node.op for node in tape.nodes] == ["activation[relu]", "activation[sigmoid]"]
         assert all(node.run is None and node.outs == () for node in tape.nodes)
 
     def test_no_recording_outside_tape(self):
@@ -467,12 +507,12 @@ class TestTapeSemantics:
             add(x, x)
             with Tape() as inner:
                 assert Tape.active() is inner
-                reduce_sum(x)
+                hadamard(x, x)
             assert Tape.active() is outer
             activation("relu", x)
         assert Tape.active() is None
         assert [node.op for node in outer.nodes] == ["add", "activation[relu]"]
-        assert [node.op for node in inner.nodes] == ["reduce_sum"]
+        assert [node.op for node in inner.nodes] == ["hadamard"]
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(22)
