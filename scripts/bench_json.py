@@ -10,8 +10,16 @@ reverse at odd ones, so runs of the same seed form alternating pairs. The
 file keeps every run's metrics and, per checkout, workload and metric, the
 median, interquartile range (inclusive quartiles), min, max and n, with the
 machine facts and each checkout's git commit and sha256 of ``src/`` as
-``bench/run.py`` reports them. The README's "Benchmark records" section
-gives the schema.
+``bench/run.py`` reports them. With two checkouts, the first the parent and
+the second the change, it also holds ``verdicts``: per workload and metric,
+the change/parent ratio at each seed, their median, the interval between
+their 2nd lowest and 2nd highest (the 2nd and 9th of 10, a 97.9 % interval
+for the median), the count of pairs the change won and a verdict. The
+README's "Benchmark records" section gives the schema.
+
+    python3 scripts/bench_json.py --out BENCH_1.json --recompute
+
+rewrites a record's summaries and verdicts from its own runs.
 """
 
 import argparse
@@ -41,6 +49,40 @@ def summarize(values):
             "n": len(values)}
 
 
+def verdict(ratios, better):
+    """The paired-ratio verdict of one metric: ``better`` or ``worse`` when the
+    interval lies wholly on that side of 1, else ``even``."""
+    sign = 1 if better == "higher" else -1
+    values = sorted(ratios.values())
+    n = len(values)
+    low, high = values[1], values[-2]
+    gains = [sign * (v - 1) for v in (low, high)]
+    side = "better" if min(gains) > 0 else "worse" if max(gains) < 0 else "even"
+    # The 2nd order statistics from each end cover the median unless at most one
+    # ratio falls on one side of it: 1 - 2 (1 + n) / 2^n.
+    return {"better": better, "ratios": ratios, "median": statistics.median(values),
+            "interval": [low, high], "coverage": 1 - 2 * (1 + n) / 2**n, "pairs": n,
+            "better_pairs": sum(sign * (v - 1) > 0 for v in values), "verdict": side}
+
+
+def summaries(record):
+    """Fill each workload's ``metrics`` and, for two checkouts, ``verdicts``."""
+    for checkout in record["checkouts"].values():
+        for entry in checkout["workloads"].values():
+            entry["metrics"] = {m["name"]: {"unit": m["unit"], **summarize([r["metrics"][m["name"]] for r in entry["runs"]])}
+                                for m in SPEC["end_to_end"]}
+    if len(record["checkouts"]) != 2:
+        return
+    parent, change = (c["workloads"] for c in record["checkouts"].values())
+    record["verdicts"] = {}
+    for workload, entry in change.items():
+        base = {r["seed"]: r["metrics"] for r in parent[workload]["runs"]}
+        record["verdicts"][workload] = {
+            m["name"]: verdict({str(r["seed"]): r["metrics"][m["name"]] / base[r["seed"]][m["name"]]
+                                for r in entry["runs"]}, m["better"])
+            for m in SPEC["end_to_end"]}
+
+
 def machine_extras():
     """RAM and the OpenBLAS core type, which ``bench/run.py`` does not
     report. Both are read from Linux's /proc; the core type is null unless
@@ -60,10 +102,18 @@ def machine_extras():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", required=True, type=int, nargs="+")
+    parser.add_argument("--seeds", type=int, nargs="+")
     parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    parser.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
+    parser.add_argument("--recompute", action="store_true", help="rewrite --out from its own runs")
+    parser.add_argument("checkouts", nargs="*", metavar="LABEL=PATH")
     args = parser.parse_args(argv)
+    if args.recompute:
+        record = json.loads(args.out.read_text())
+        summaries(record)
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        return
+    if not args.seeds or not args.checkouts:
+        parser.error("--seeds and at least one LABEL=PATH are needed unless --recompute")
     checkouts = dict(item.split("=", 1) for item in args.checkouts)
     workloads = [w["name"] for w in SPEC["workloads"]]
     record = {"command": "bench/run.py --trace 0", "seconds": args.seconds, "seeds": args.seeds,
@@ -80,11 +130,7 @@ def main(argv=None):
                 record["checkouts"][label]["workloads"][workload]["runs"].append(
                     {"seed": seed, "attempted": result["attempted"], "failed": result["failed"], "metrics": metrics})
                 print(label, workload, seed, json.dumps(metrics), flush=True)
-    units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
-    for checkout in record["checkouts"].values():
-        for entry in checkout["workloads"].values():
-            entry["metrics"] = {name: {"unit": unit, **summarize([r["metrics"][name] for r in entry["runs"]])}
-                                for name, unit in units.items()}
+    summaries(record)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
 

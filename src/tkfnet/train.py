@@ -1,11 +1,29 @@
-"""Loss, momentum optimization, the epoch loop and evaluation metrics."""
+"""Loss, momentum optimization, the epoch loop and evaluation metrics.
 
+A training batch whose two halves each hold at least ``_SHARD_FLOOR`` input
+elements is stepped as two shards at once: shard 0, the first ceil(n / 2)
+samples, on the model in the calling thread, and shard 1, the rest, on a
+replica in one helper thread. The replica's parameters share the model's
+arrays and keep their own gradients. Each shard records its own tape and
+runs its own backward; then each gradient is weighted by its shard's share of
+the batch and the two are summed in shard order, as are the two losses. While
+the shards run, numpy's OpenBLAS runs one thread, and then gets its previous
+thread count back. Where numpy's BLAS exports no thread setter, no batch is
+sharded. The shard count is fixed, never the CPU count, so a run's bits do not
+depend on the machine it runs on.
+"""
+
+import contextlib
+import contextvars
+import ctypes
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import preprocess
+from .model import TKFNet
 from .tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 
 # Samples per evaluation forward, so evaluation needs no more memory than a
@@ -14,6 +32,49 @@ from .tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 # smaller one, such as a trailing batch, they may not. Under its Haswell and
 # Prescott kernels they may differ between batches of 8 or more too.
 EVAL_BATCH = 8
+# Least input elements in each of a sharded batch's two shards. Measured on a
+# 2-CPU box, median taped step, one process, unsharded against sharded:
+# base@224 batch 8 (602,112 per shard) 355-367 -> 219-229 ms; small@32 batch
+# 32 (49,152) 14-15 -> 24-27 ms, batch 128 (196,608) 35 -> 38 ms, batch 256
+# (393,216) 66 -> 61 ms. So the floor lies between small@32's last loss and
+# its first gain; base@224 gains from batch 2 on, but shards from batch 4.
+_SHARD_FLOOR = 1 << 18
+
+
+def _blas_thread_functions():
+    """(get, set) of the thread count of the OpenBLAS that numpy calls, or
+    None. They are looked up through numpy's own extension module, whose
+    symbol search covers the libraries it links, so an OpenBLAS that another
+    package loaded is never found instead."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_BLAS_THREADS = _blas_thread_functions()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS single-threaded inside the block, then restore its count."""
+    get, set_ = _BLAS_THREADS
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def compute_loss(logits, labels):
@@ -96,11 +157,61 @@ def _batch_arrays(samples, input_size):
     return Tensor(x), y
 
 
+def _taped_step(model, x, y):
+    """Record one tape of ``model``'s loss on (x, y) and replay it; returns the loss."""
+    with Tape() as tape:
+        loss = compute_loss(model(x), y)
+        tape.backward(loss)
+    return loss.item()
+
+
+def _shards(x):
+    """Whether the batch ``x`` is stepped as two shards; see the module docstring."""
+    return _BLAS_THREADS is not None and (len(x.data) // 2) * x.data[0].size >= _SHARD_FLOOR
+
+
+def _replica(model):
+    """A TKFNet whose parameters share ``model``'s arrays and own their gradients."""
+    params = model.parameters()
+    return TKFNet(model.config, dtype=params[0].dtype, state={p.name: p.data for p in params})
+
+
+def _sharded_step(model, replica, pool, x, y):
+    """Step (x, y) as two shards, shard 1 on ``replica`` in ``pool``'s thread;
+    leaves the weighted sum of the shard gradients in ``model``'s parameters
+    and returns the weighted sum of the shard losses.
+
+    Shard 1 runs in a copy of the caller's context, so numpy's error state
+    holds there too. A shard's exception is raised once both have ended,
+    shard 0's first.
+    """
+    n = len(y)
+    n0 = -(-n // 2)
+    shares = (n0 / n, (n - n0) / n)
+    with _one_blas_thread():
+        shard1 = pool.submit(contextvars.copy_context().run, _taped_step,
+                             replica, Tensor(x.data[n0:]), y[n0:])
+        try:
+            loss0 = _taped_step(model, Tensor(x.data[:n0]), y[:n0])
+        finally:
+            shard1.exception()
+        loss1 = shard1.result()
+    for p, r in zip(model.parameters(), replica.parameters()):
+        p.grad *= shares[0]
+        r.grad *= shares[1]
+        p.grad += r.grad
+        # -0 + 0 is +0: a gradient never holds -0, as in tensor._accum.
+        p.grad += 0.0
+        r.grad = None
+    return shares[0] * loss0 + shares[1] * loss1
+
+
 def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=None):
     """One pass over the dataset; returns the sample-weighted mean loss.
 
     The visiting order is a permutation drawn deterministically from
-    (seed, epoch). A trailing partial batch is kept.
+    (seed, epoch). A trailing partial batch is kept. A batch above the
+    shard floor is stepped as two shards; see the module docstring.
     """
     n = len(dataset.samples)
     if n == 0:
@@ -109,14 +220,19 @@ def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=N
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     order = np.random.default_rng([seed, epoch]).permutation(n)
     total = 0.0
-    for start in range(0, n, batch_size):
-        batch = [dataset.samples[i] for i in order[start : start + batch_size]]
-        x, y = _batch_arrays(batch, input_size)
-        with Tape() as tape:
-            loss = compute_loss(model(x), y)
-            tape.backward(loss)
-        optimizer.step()
-        total += loss.item() * len(batch)
+    replica = None
+    with ThreadPoolExecutor(1) as pool:
+        for start in range(0, n, batch_size):
+            batch = [dataset.samples[i] for i in order[start : start + batch_size]]
+            x, y = _batch_arrays(batch, input_size)
+            if _shards(x):
+                if replica is None:
+                    replica = _replica(model)
+                loss = _sharded_step(model, replica, pool, x, y)
+            else:
+                loss = _taped_step(model, x, y)
+            optimizer.step()
+            total += loss * len(batch)
     return total / n
 
 

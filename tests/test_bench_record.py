@@ -1,16 +1,28 @@
-"""BENCH_1.json, written by scripts/bench_json.py, records the metrics and
-units that BENCHMARK.json declares, for every gated workload. No value is
-checked: the numbers belong to the machine that measured them."""
+"""Every BENCH_n.json, written by scripts/bench_json.py, records the metrics
+and units that BENCHMARK.json declares, for every gated workload, and a
+two-checkout record's verdicts follow from its own runs. No value is checked
+against a number: the numbers belong to the machine that measured them."""
 
 import json
+import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def records():
+    assert RECORDS
+    return [json.loads(path.read_text()) for path in RECORDS]
 
 
 def test_bench_record_has_the_declared_metrics_and_units():
-    record = json.loads((ROOT / "BENCH_1.json").read_text())
+    for record in records():
+        check_names_and_units(record)
+
+
+def check_names_and_units(record):
     units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
     assert {"cpu_model", "nproc", "mem_total_kib", "python", "numpy", "blas", "openblas_core"} <= set(record["machine"])
     assert record["checkouts"]
@@ -22,3 +34,36 @@ def test_bench_record_has_the_declared_metrics_and_units():
             for summary in entry["metrics"].values():
                 assert set(summary) == {"unit", "median", "iqr", "min", "max", "n"}
             assert entry["runs"] and all(set(run["metrics"]) == set(units) for run in entry["runs"])
+
+
+def test_bench_verdicts_follow_from_the_records_own_runs():
+    for record in records():
+        if len(record["checkouts"]) == 2:
+            check_verdicts(record)
+        else:
+            assert "verdicts" not in record
+
+
+def check_verdicts(record):
+    parent, change = (c["workloads"] for c in record["checkouts"].values())
+    assert set(record["verdicts"]) == set(change)
+    for workload, verdicts in record["verdicts"].items():
+        assert set(verdicts) == {m["name"] for m in SPEC["end_to_end"]}
+        for metric in SPEC["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            before = {str(r["seed"]): r["metrics"][name] for r in parent[workload]["runs"]}
+            ratios = {str(r["seed"]): r["metrics"][name] / before[str(r["seed"])]
+                      for r in change[workload]["runs"]}
+            ranked = sorted(ratios.values())
+            low, high = ranked[1], ranked[-2]
+            got = verdicts[name]
+            assert got["ratios"] == ratios
+            assert got["median"] == statistics.median(ranked)
+            assert got["interval"] == [low, high]
+            assert got["pairs"] == len(ranked)
+            assert got["coverage"] == 1 - 2 * (1 + len(ranked)) / 2 ** len(ranked)
+            assert got["better_pairs"] == sum(sign * (r - 1) > 0 for r in ranked)
+            assert got["better"] == metric["better"]
+            # A claim holds only when the whole interval is on its side of 1.
+            gains = sign * (low - 1), sign * (high - 1)
+            assert got["verdict"] == ("better" if min(gains) > 0 else "worse" if max(gains) < 0 else "even")
