@@ -4,13 +4,15 @@ A training batch whose two halves each hold at least ``_SHARD_FLOOR`` input
 elements is stepped as two shards at once: shard 0, the first ceil(n / 2)
 samples, on the model in the calling thread, and shard 1, the rest, on a
 replica in one helper thread. The replica's parameters share the model's
-arrays and keep their own gradients. Each shard records its own tape and
-runs its own backward; then each gradient is weighted by its shard's share of
-the batch and the two are summed in shard order, as are the two losses. While
-the shards run, numpy's OpenBLAS runs one thread, and then gets its previous
-thread count back. Where numpy's BLAS exports no thread setter, no batch is
-sharded. The shard count is fixed, never the CPU count, so a run's bits do not
-depend on the machine it runs on.
+arrays and keep their own gradients. Each shard records one tape per
+``_TAPE_SAMPLES`` of its samples (one per sample when they do not divide it)
+and runs each tape's backward, so its gradients add up over its tapes. Then
+each tape's gradient is weighted by its samples' share of the batch and the
+two shards are summed in shard order, as are their losses. While the shards
+run, numpy's OpenBLAS runs one thread, and then gets its previous thread
+count back. Where numpy's BLAS exports no thread setter, no batch is
+sharded. The shard count is fixed, never the CPU count, so a run's bits do
+not depend on the machine it runs on.
 """
 
 import contextlib
@@ -39,6 +41,16 @@ EVAL_BATCH = 8
 # (393,216) 66 -> 61 ms. So the floor lies between small@32's last loss and
 # its first gain; base@224 gains from batch 2 on, but shards from batch 4.
 _SHARD_FLOOR = 1 << 18
+# Samples per tape within a shard. A base@224 batch-8 step, the variants
+# interleaved in one process: unsharded 400 ms; tapes of 4, 2 and 1 samples
+# 256, 252 and 327 ms (one sample per tape leaves the step bound by its
+# Python work, which the two threads take turns at). Tapes of 2 hold less at
+# once: the step's two shards peak at 37 MiB of arrays, against 54 MiB with
+# tapes of 4 and 46 MiB unsharded.
+_TAPE_SAMPLES = 2
+# 1 MiB blocks that the helper thread allocates and frees after its last
+# shard of an epoch; see _trim_thread_heap.
+_RELEASE_BLOCKS = 70
 
 
 def _blas_thread_functions():
@@ -63,6 +75,55 @@ def _blas_thread_functions():
 
 
 _BLAS_THREADS = _blas_thread_functions()
+
+
+def _glibc():
+    """glibc, with the signatures of the functions used here, or None on
+    another C library."""
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+        libc.malloc_trim.argtypes, libc.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    except (OSError, AttributeError):
+        return None
+    libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
+    libc.free.argtypes, libc.free.restype = [ctypes.c_void_p], None
+    return libc
+
+
+_GLIBC = _glibc()
+
+
+def _trim_thread_heap():
+    """Hand the freed memory at the top of the calling thread's malloc arena
+    back to the system.
+
+    glibc gives each thread after the first its own arena, and an arena keeps
+    the memory freed at the top of its heap until a free leaves more than the
+    trim threshold there: twice the mmap threshold, which grows to at most
+    32 MiB. ``malloc_trim`` does not trim a thread arena's top. Allocating and
+    freeing ``_RELEASE_BLOCKS`` blocks of 1 MiB, below any mmap threshold that
+    lets an arena hold them, leaves more than any trim threshold free at the
+    top, so the last free trims it. Only the blocks' headers are written.
+    """
+    blocks = [_GLIBC.malloc(1 << 20) for _ in range(_RELEASE_BLOCKS)]
+    for block in blocks:
+        _GLIBC.free(block)
+
+
+def _release_shard_memory(pool):
+    """Return the heap memory that an epoch's shards freed, in ``pool``'s
+    thread and then in the caller's, where the C library is glibc.
+
+    Shard-sized blocks are a quarter of an evaluation batch's, so the
+    evaluation that follows training cannot reuse them, and kept resident
+    they add to its peak. In the train-base224 benchmark, evaluation peaked at
+    125-134 MiB with both arenas kept, 112-119 MiB with the helper's
+    returned, and 101-107 MiB with both returned, against 99 MiB unsharded;
+    the unsharded run peaks at 112 MiB, in training.
+    """
+    if _GLIBC is not None:
+        pool.submit(_trim_thread_heap).result()
+        _GLIBC.malloc_trim(0)
 
 
 @contextlib.contextmanager
@@ -176,6 +237,18 @@ def _replica(model):
     return TKFNet(model.config, dtype=params[0].dtype, state={p.name: p.data for p in params})
 
 
+def _shard_step(model, x, y):
+    """Step the shard (x, y) on ``model``, ``_TAPE_SAMPLES`` samples per tape
+    when they divide it and one otherwise; returns (samples per tape, the
+    sum of the tape losses)."""
+    n = len(y)
+    k = _TAPE_SAMPLES if n % _TAPE_SAMPLES == 0 else 1
+    loss = 0.0
+    for a in range(0, n, k):
+        loss += _taped_step(model, Tensor(x.data[a : a + k]), y[a : a + k])
+    return k, loss
+
+
 def _sharded_step(model, replica, pool, x, y):
     """Step (x, y) as two shards, shard 1 on ``replica`` in ``pool``'s thread;
     leaves the weighted sum of the shard gradients in ``model``'s parameters
@@ -187,23 +260,24 @@ def _sharded_step(model, replica, pool, x, y):
     """
     n = len(y)
     n0 = -(-n // 2)
-    shares = (n0 / n, (n - n0) / n)
     with _one_blas_thread():
-        shard1 = pool.submit(contextvars.copy_context().run, _taped_step,
+        shard1 = pool.submit(contextvars.copy_context().run, _shard_step,
                              replica, Tensor(x.data[n0:]), y[n0:])
         try:
-            loss0 = _taped_step(model, Tensor(x.data[:n0]), y[:n0])
+            k0, loss0 = _shard_step(model, Tensor(x.data[:n0]), y[:n0])
         finally:
             shard1.exception()
-        loss1 = shard1.result()
+        k1, loss1 = shard1.result()
+    # A tape's gradient and loss are means over its k samples: weight k / n.
+    w0, w1 = k0 / n, k1 / n
     for p, r in zip(model.parameters(), replica.parameters()):
-        p.grad *= shares[0]
-        r.grad *= shares[1]
+        p.grad *= w0
+        r.grad *= w1
         p.grad += r.grad
         # -0 + 0 is +0: a gradient never holds -0, as in tensor._accum.
         p.grad += 0.0
         r.grad = None
-    return shares[0] * loss0 + shares[1] * loss1
+    return w0 * loss0 + w1 * loss1
 
 
 def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=None):
@@ -233,6 +307,8 @@ def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=N
                 loss = _taped_step(model, x, y)
             optimizer.step()
             total += loss * len(batch)
+        if replica is not None:
+            _release_shard_memory(pool)
     return total / n
 
 

@@ -4,6 +4,7 @@ step does."""
 
 import threading
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -63,25 +64,61 @@ def test_batches_shard_above_the_floor_and_with_a_blas_setter(monkeypatch):
     assert not train._shards(batch(8, 224))
 
 
-@needs_blas_setter
-def test_sharded_step_has_the_bits_of_its_shards_stepped_in_turn():
-    x, y = base224_batch()
-    model = TKFNet(model_config("base"), seed=0)
+def in_turn(model, replica, x, y, shards):
+    """The sharded step's gradients and loss, made in the calling thread with
+    one BLAS thread: ``shards`` lists each shard's tapes as (start, stop)."""
+    losses, weights = [], []
+    with train._one_blas_thread():
+        for step_model, tapes in zip((model, replica), shards):
+            losses.append(sum(train._taped_step(step_model, Tensor(x.data[a:b]), y[a:b]) for a, b in tapes))
+            weights.append((tapes[0][1] - tapes[0][0]) / len(y))
+    grads = [weights[0] * g0 + weights[1] * g1 + 0.0
+             for g0, g1 in zip(take_grads(model), take_grads(replica))]
+    return grads, weights[0] * losses[0] + weights[1] * losses[1]
+
+
+def sharded(model, x, y):
     replica = train._replica(model)
     assert all(r.data is p.data and r._slot is not p._slot
                for p, r in zip(model.parameters(), replica.parameters()))
     with ThreadPoolExecutor(1) as pool:
         loss = train._sharded_step(model, replica, pool, x, y)
-    sharded = take_grads(model)
     assert all(r.grad is None for r in replica.parameters())
+    return take_grads(model), loss, replica
 
-    with train._one_blas_thread():
-        loss0 = train._taped_step(model, Tensor(x.data[:4]), y[:4])
-        loss1 = train._taped_step(replica, Tensor(x.data[4:]), y[4:])
-    expected = [0.5 * g0 + 0.5 * g1 + 0.0 for g0, g1 in zip(take_grads(model), take_grads(replica))]
-    assert loss == 0.5 * loss0 + 0.5 * loss1
-    for got, want in zip(sharded, expected):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@needs_blas_setter
+def test_sharded_step_has_the_bits_of_its_shards_stepped_in_turn():
+    # Batch 8: two shards of 4, each stepped as two tapes of 2 samples.
+    x, y = base224_batch()
+    model = TKFNet(model_config("base"), seed=0)
+    grads, loss, replica = sharded(model, x, y)
+    want, want_loss = in_turn(model, replica, x, y, [[(0, 2), (2, 4)], [(4, 6), (6, 8)]])
+    assert loss == want_loss
+    assert_same_bits(grads, want)
+
+
+@needs_blas_setter
+def test_an_odd_shard_steps_one_sample_per_tape_and_keeps_the_batch_mean():
+    # Batch 7: shard 0 holds 4 samples in tapes of 2, shard 1 holds 3 in
+    # tapes of 1. Each tape weighs its samples' share, so the step is the
+    # batch mean up to float32 rounding.
+    data = synth_dataset(classes=3, per_class=3, size=(16, 16), seed=0)
+    x, y = train._batch_arrays(data.samples[:7], None)
+    model = TKFNet(model_config("small", 3), seed=0)
+    grads, loss, replica = sharded(model, x, y)
+    want, want_loss = in_turn(model, replica, x, y, [[(0, 2), (2, 4)], [(4, 5), (5, 6), (6, 7)]])
+    assert loss == want_loss
+    assert_same_bits(grads, want)
+    mean_loss = train._taped_step(model, x, y)
+    assert loss == pytest.approx(mean_loss, rel=1e-6)
+    for g, m in zip(grads, take_grads(model)):
+        np.testing.assert_allclose(g, m, rtol=1e-4, atol=1e-6 * np.abs(m).max())
 
 
 def test_criterion_5_config_keeps_the_bits_of_the_single_tape_step(tmp_path, monkeypatch):
@@ -144,9 +181,9 @@ def test_shards_run_on_two_threads_with_one_blas_thread_then_restore_it(monkeypa
     monkeypatch.setattr(train, "_taped_step", spy)
     _, run = base224_epoch([0] * 8)
     assert np.isfinite(run())
-    assert sorted(count for _, count, _ in seen) == [1, 1]
-    assert len({thread for thread, _, _ in seen}) == 2
-    assert sorted(n for _, _, n in seen) == [4, 4]
+    assert [count for _, count, _ in seen] == [1] * 4
+    assert sorted(Counter(thread for thread, _, _ in seen).values()) == [2, 2]
+    assert [n for _, _, n in seen] == [2] * 4
     assert get() == 2
 
 
