@@ -99,6 +99,28 @@ def machine_extras():
     return {"mem_total_kib": mem_total_kib, "openblas_core": corename and corename().decode()}
 
 
+def measure_record(checkouts, seeds, seconds):
+    """Every run of every gated workload at each LABEL=PATH checkout, in
+    alternating order by seed."""
+    checkouts = dict(item.split("=", 1) for item in checkouts)
+    workloads = [w["name"] for w in SPEC["workloads"]]
+    record = {"command": "bench/run.py --trace 0", "seconds": seconds, "seeds": seeds,
+              "machine": None, "checkouts": {label: {"workloads": {w: {"runs": []} for w in workloads}}
+                                             for label in checkouts}}
+    for seed in seeds:
+        for label in list(checkouts)[:: 1 if seed % 2 == 0 else -1]:
+            for workload in workloads:
+                header, result = run_bench(checkouts[label], workload, seed, seconds)
+                record["machine"] = record["machine"] or {**header["machine"], **machine_extras()}
+                record["checkouts"][label].update(git_commit=header["run"]["git_commit"],
+                                                  src_sha256=header["run"]["src_sha256"])
+                metrics = {name: m["value"] for name, m in result["metrics"].items()}
+                record["checkouts"][label]["workloads"][workload]["runs"].append(
+                    {"seed": seed, "attempted": result["attempted"], "failed": result["failed"], "metrics": metrics})
+                print(label, workload, seed, json.dumps(metrics), flush=True)
+    return record
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -109,27 +131,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.recompute:
         record = json.loads(args.out.read_text())
-        summaries(record)
-        args.out.write_text(json.dumps(record, indent=1) + "\n")
-        return
-    if not args.seeds or not args.checkouts:
+    elif args.seeds and args.checkouts:
+        record = measure_record(args.checkouts, args.seeds, args.seconds)
+    else:
         parser.error("--seeds and at least one LABEL=PATH are needed unless --recompute")
-    checkouts = dict(item.split("=", 1) for item in args.checkouts)
-    workloads = [w["name"] for w in SPEC["workloads"]]
-    record = {"command": "bench/run.py --trace 0", "seconds": args.seconds, "seeds": args.seeds,
-              "machine": None, "checkouts": {label: {"workloads": {w: {"runs": []} for w in workloads}}
-                                             for label in checkouts}}
-    for seed in args.seeds:
-        for label in list(checkouts)[:: 1 if seed % 2 == 0 else -1]:
-            for workload in workloads:
-                header, result = run_bench(checkouts[label], workload, seed, args.seconds)
-                record["machine"] = record["machine"] or {**header["machine"], **machine_extras()}
-                record["checkouts"][label].update(git_commit=header["run"]["git_commit"],
-                                                  src_sha256=header["run"]["src_sha256"])
-                metrics = {name: m["value"] for name, m in result["metrics"].items()}
-                record["checkouts"][label]["workloads"][workload]["runs"].append(
-                    {"seed": seed, "attempted": result["attempted"], "failed": result["failed"], "metrics": metrics})
-                print(label, workload, seed, json.dumps(metrics), flush=True)
     summaries(record)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
