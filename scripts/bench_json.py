@@ -14,12 +14,9 @@ machine facts and each checkout's git commit and sha256 of ``src/`` as
 the second the change, it also holds ``verdicts``: per workload and metric,
 the change/parent ratio at each seed, their median, the interval between
 their 2nd lowest and 2nd highest (the 2nd and 9th of 10, a 97.9 % interval
-for the median), the count of pairs the change won and a verdict. The
-README's "Benchmark records" section gives the schema.
-
-    python3 scripts/bench_json.py --out BENCH_1.json --recompute
-
-rewrites a record's summaries and verdicts from its own runs.
+for the median), the count of pairs the change won and a verdict; with
+fewer than ``MIN_PAIRS`` pairs it holds none. The README's "Benchmark
+records" section gives the schema.
 """
 
 import argparse
@@ -31,6 +28,9 @@ import sys
 from pathlib import Path
 
 SPEC = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+# Fewest pairs that get verdicts: with 3 the 2nd lowest and 2nd highest of the
+# ratios are one value, and the interval covers the median with probability 0.
+MIN_PAIRS = 4
 
 
 def run_bench(checkout, workload, seed, seconds):
@@ -71,7 +71,7 @@ def summaries(record):
         for entry in checkout["workloads"].values():
             entry["metrics"] = {m["name"]: {"unit": m["unit"], **summarize([r["metrics"][m["name"]] for r in entry["runs"]])}
                                 for m in SPEC["end_to_end"]}
-    if len(record["checkouts"]) != 2:
+    if len(record["checkouts"]) != 2 or len(record["seeds"]) < MIN_PAIRS:
         return
     parent, change = (c["workloads"] for c in record["checkouts"].values())
     record["verdicts"] = {}
@@ -124,17 +124,11 @@ def measure_record(checkouts, seeds, seconds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+")
+    parser.add_argument("--seeds", required=True, type=int, nargs="+")
     parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    parser.add_argument("--recompute", action="store_true", help="rewrite --out from its own runs")
-    parser.add_argument("checkouts", nargs="*", metavar="LABEL=PATH")
+    parser.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
     args = parser.parse_args(argv)
-    if args.recompute:
-        record = json.loads(args.out.read_text())
-    elif args.seeds and args.checkouts:
-        record = measure_record(args.checkouts, args.seeds, args.seconds)
-    else:
-        parser.error("--seeds and at least one LABEL=PATH are needed unless --recompute")
+    record = measure_record(args.checkouts, args.seeds, args.seconds)
     summaries(record)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 

@@ -49,7 +49,8 @@ _SHARD_FLOOR = 1 << 18
 # tapes of 4 and 46 MiB unsharded.
 _TAPE_SAMPLES = 2
 # 1 MiB blocks that the helper thread allocates and frees after its last
-# shard of an epoch; see _trim_thread_heap.
+# shard of an epoch, more than one 64 MiB malloc heap holds; see
+# _release_shard_memory.
 _RELEASE_BLOCKS = 70
 
 
@@ -93,37 +94,33 @@ def _glibc():
 _GLIBC = _glibc()
 
 
-def _trim_thread_heap():
-    """Hand the freed memory at the top of the calling thread's malloc arena
-    back to the system.
-
-    glibc gives each thread after the first its own arena, and an arena keeps
-    the memory freed at the top of its heap until a free leaves more than the
-    trim threshold there: twice the mmap threshold, which grows to at most
-    32 MiB. ``malloc_trim`` does not trim a thread arena's top. Allocating and
-    freeing ``_RELEASE_BLOCKS`` blocks of 1 MiB, below any mmap threshold that
-    lets an arena hold them, leaves more than any trim threshold free at the
-    top, so the last free trims it. Only the blocks' headers are written.
-    """
-    blocks = [_GLIBC.malloc(1 << 20) for _ in range(_RELEASE_BLOCKS)]
-    for block in blocks:
-        _GLIBC.free(block)
-
-
-def _release_shard_memory(pool):
-    """Return the heap memory that an epoch's shards freed, in ``pool``'s
-    thread and then in the caller's, where the C library is glibc.
+def _release_shard_memory():
+    """Hand the heap memory that an epoch's shards freed back to the system.
+    Runs in the helper thread, on glibc.
 
     Shard-sized blocks are a quarter of an evaluation batch's, so the
     evaluation that follows training cannot reuse them, and kept resident
-    they add to its peak. In the train-base224 benchmark, evaluation peaked at
-    125-134 MiB with both arenas kept, 112-119 MiB with the helper's
-    returned, and 101-107 MiB with both returned, against 99 MiB unsharded;
-    the unsharded run peaks at 112 MiB, in training.
+    they add to its peak. glibc gives each thread after the first its own
+    arena, of heaps of at most 64 MiB. ``malloc_trim`` returns the pages of
+    every arena's free chunks but, of the arenas' free tops, only the main
+    one's; a free trims a thread arena's top only once the top reaches the
+    trim threshold, which can grow to 64 MiB, a whole heap. So
+    ``_RELEASE_BLOCKS`` blocks of 1 MiB, more than one heap holds, take this
+    thread's top and spill into a new heap. All but the last are freed, so
+    they lie binned below it, where ``malloc_trim`` returns their pages, and
+    freeing the last unmaps the spilled heap. The blocks come from the arena
+    when its mmap threshold is above 1 MiB, as it is once a shard has freed
+    a mapped array of several MiB. Only the blocks' headers are written.
+
+    In the train-base224 benchmark, every 64 MiB thread-arena heap held
+    2 MiB resident after this, both at the mmap threshold that the run had
+    reached and with the threshold forced to its 32 MiB cap.
     """
-    if _GLIBC is not None:
-        pool.submit(_trim_thread_heap).result()
-        _GLIBC.malloc_trim(0)
+    blocks = [_GLIBC.malloc(1 << 20) for _ in range(_RELEASE_BLOCKS)]
+    for block in blocks[:-1]:
+        _GLIBC.free(block)
+    _GLIBC.malloc_trim(0)
+    _GLIBC.free(blocks[-1])
 
 
 @contextlib.contextmanager
@@ -307,8 +304,8 @@ def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=N
                 loss = _taped_step(model, x, y)
             optimizer.step()
             total += loss * len(batch)
-        if replica is not None:
-            _release_shard_memory(pool)
+        if replica is not None and _GLIBC is not None:
+            pool.submit(_release_shard_memory).result()
     return total / n
 
 

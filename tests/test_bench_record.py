@@ -1,15 +1,20 @@
 """Every BENCH_n.json, written by scripts/bench_json.py, records the metrics
 and units that BENCHMARK.json declares, for every gated workload, and a
-two-checkout record's verdicts follow from its own runs. No value is checked
+record's summaries and, with two checkouts, its verdicts are what
+scripts/bench_json.py computes from the record's own runs. No value is checked
 against a number: the numbers belong to the machine that measured them."""
 
+import copy
+import importlib.util
 import json
-import statistics
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+_spec = importlib.util.spec_from_file_location("bench_json", ROOT / "scripts" / "bench_json.py")
+bench_json = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_json)
 
 
 def records():
@@ -36,34 +41,30 @@ def check_names_and_units(record):
             assert entry["runs"] and all(set(run["metrics"]) == set(units) for run in entry["runs"])
 
 
-def test_bench_verdicts_follow_from_the_records_own_runs():
+def test_bench_summaries_and_verdicts_follow_from_the_records_own_runs():
     for record in records():
-        if len(record["checkouts"]) == 2:
-            check_verdicts(record)
-        else:
-            assert "verdicts" not in record
+        recomputed = copy.deepcopy(record)
+        bench_json.summaries(recomputed)
+        assert recomputed == record
+        assert ("verdicts" in record) == (len(record["checkouts"]) == 2)
 
 
-def check_verdicts(record):
-    parent, change = (c["workloads"] for c in record["checkouts"].values())
-    assert set(record["verdicts"]) == set(change)
-    for workload, verdicts in record["verdicts"].items():
-        assert set(verdicts) == {m["name"] for m in SPEC["end_to_end"]}
-        for metric in SPEC["end_to_end"]:
-            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-            before = {str(r["seed"]): r["metrics"][name] for r in parent[workload]["runs"]}
-            ratios = {str(r["seed"]): r["metrics"][name] / before[str(r["seed"])]
-                      for r in change[workload]["runs"]}
-            ranked = sorted(ratios.values())
-            low, high = ranked[1], ranked[-2]
-            got = verdicts[name]
-            assert got["ratios"] == ratios
-            assert got["median"] == statistics.median(ranked)
-            assert got["interval"] == [low, high]
-            assert got["pairs"] == len(ranked)
-            assert got["coverage"] == 1 - 2 * (1 + len(ranked)) / 2 ** len(ranked)
-            assert got["better_pairs"] == sum(sign * (r - 1) > 0 for r in ranked)
-            assert got["better"] == metric["better"]
-            # A claim holds only when the whole interval is on its side of 1.
-            gains = sign * (low - 1), sign * (high - 1)
-            assert got["verdict"] == ("better" if min(gains) > 0 else "worse" if max(gains) < 0 else "even")
+def test_bench_verdicts_need_enough_pairs():
+    """A two-checkout record of 1 or 3 seeds gets summaries and no verdicts;
+    one of 4 gets them, with a nonempty interval."""
+    two = next(r for r in records() if len(r["checkouts"]) == 2)
+    for k in (1, 3, bench_json.MIN_PAIRS):
+        record = copy.deepcopy(two)
+        record["seeds"] = record["seeds"][:k]
+        for checkout in record["checkouts"].values():
+            for entry in checkout["workloads"].values():
+                entry["runs"] = [r for r in entry["runs"] if r["seed"] in record["seeds"]]
+        del record["verdicts"]
+        bench_json.summaries(record)
+        for checkout in record["checkouts"].values():
+            assert all(s["n"] == k for e in checkout["workloads"].values() for s in e["metrics"].values())
+        assert ("verdicts" in record) == (k >= bench_json.MIN_PAIRS)
+        for verdicts in record.get("verdicts", {}).values():
+            for got in verdicts.values():
+                low, high = got["interval"]
+                assert low <= got["median"] <= high and got["pairs"] == k and 0 < got["coverage"] < 1
