@@ -1,7 +1,8 @@
 """Loss, momentum optimization, the epoch loop and evaluation metrics.
 
-A training batch whose two halves each hold at least ``_SHARD_FLOOR`` input
-elements is stepped as two shards at once: shard 0, the first ceil(n / 2)
+A training batch is stepped as two shards at once when each shard holds a
+tape of ``_TAPE_SAMPLES`` samples and such a tape holds at least
+``_SHARD_FLOOR`` input elements: shard 0, the first ceil(n / 2)
 samples, on the model in the calling thread, and shard 1, the rest, on a
 replica in one helper thread. The replica's parameters share the model's
 arrays and keep their own gradients. Each shard records one tape per
@@ -34,13 +35,18 @@ from .tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 # smaller one, such as a trailing batch, they may not. Under its Haswell and
 # Prescott kernels they may differ between batches of 8 or more too.
 EVAL_BATCH = 8
-# Least input elements in each of a sharded batch's two shards. Measured on a
-# 2-CPU box, median taped step, one process, unsharded against sharded:
-# base@224 batch 8 (602,112 per shard) 355-367 -> 219-229 ms; small@32 batch
-# 32 (49,152) 14-15 -> 24-27 ms, batch 128 (196,608) 35 -> 38 ms, batch 256
-# (393,216) 66 -> 61 ms. So the floor lies between small@32's last loss and
-# its first gain; base@224 gains from batch 2 on, but shards from batch 4.
-_SHARD_FLOOR = 1 << 18
+# Least input elements in a tape of _TAPE_SAMPLES samples for a batch to
+# shard. The two shards take turns at each tape's Python work, so a batch of
+# small tapes loses. Measured on a 2-CPU box, median taped step in one
+# process, unsharded against sharded, batch 8 unless given, by input
+# elements per tape: small@32 (6,144) batch 32 11 -> 55 ms, batch 256 66 ->
+# 722 ms; base@96 (55,296) 86 -> 116 ms; base@128 (98,304) 151 -> 159 ms;
+# base@160 (153,600) 204 -> 192 ms; base@224 (301,056) 470 -> 357 ms, batch
+# 4 207 -> 188 ms, while batch 2, a tape of 1 per shard, loses 125 -> 134 ms.
+# So the floor lies between base@128's loss and base@160's gain. The input
+# size does not see the model's width: small@224 (301,056) loses too, 66 ->
+# 79 ms.
+_SHARD_FLOOR = 1 << 17
 # Samples per tape within a shard. A base@224 batch-8 step, the variants
 # interleaved in one process: unsharded 400 ms; tapes of 4, 2 and 1 samples
 # 256, 252 and 327 ms (one sample per tape leaves the step bound by its
@@ -225,7 +231,8 @@ def _taped_step(model, x, y):
 
 def _shards(x):
     """Whether the batch ``x`` is stepped as two shards; see the module docstring."""
-    return _BLAS_THREADS is not None and (len(x.data) // 2) * x.data[0].size >= _SHARD_FLOOR
+    return (_BLAS_THREADS is not None and len(x.data) >= 2 * _TAPE_SAMPLES
+            and _TAPE_SAMPLES * x.data[0].size >= _SHARD_FLOOR)
 
 
 def _replica(model):

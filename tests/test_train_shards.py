@@ -56,10 +56,12 @@ def test_batches_shard_above_the_floor_and_with_a_blas_setter(monkeypatch):
         return Tensor(np.zeros((n, side, side, 3), np.float32))
 
     monkeypatch.setattr(train, "_BLAS_THREADS", (lambda: 2, lambda count: None))
-    # base@224 batch 8 shards, as does batch 4; small@32 batch 32, the
-    # criterion-5 setting, and batch 128 do not.
-    assert [train._shards(batch(n, 224)) for n in (8, 4, 2, 1)] == [True, True, False, False]
-    assert [train._shards(batch(n, 32)) for n in (32, 128, 256)] == [False, False, True]
+    # base@224 batch 8 shards, as do batches 5 and 4; below 4 a shard holds
+    # no tape of 2. small@32 never shards, at criterion 5's batch 32 or more.
+    assert [train._shards(batch(n, 224)) for n in (8, 5, 4, 3, 2, 1)] == [True] * 3 + [False] * 3
+    assert not any(train._shards(batch(n, 32)) for n in (32, 128, 256, 512))
+    # A tape of two 148 px samples holds 131,424 elements, one of 147 px 129,654.
+    assert [train._shards(batch(4, side)) for side in (148, 147)] == [True, False]
     monkeypatch.setattr(train, "_BLAS_THREADS", None)
     assert not train._shards(batch(8, 224))
 
