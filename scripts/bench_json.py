@@ -84,16 +84,21 @@ def summaries(record):
 
 
 def machine_extras():
-    """RAM and the OpenBLAS core type, which ``bench/run.py`` does not
-    report. Both are read from Linux's /proc; the core type is null unless
-    numpy's OpenBLAS exports a corename function."""
-    import numpy  # noqa: F401, loads the OpenBLAS library numpy was built with
+    """RAM, read from Linux's /proc, and the OpenBLAS core type, which
+    ``bench/run.py`` does not report. The core type is null unless numpy's
+    OpenBLAS exports a corename function. It is looked up through numpy's own
+    extension module, as ``tkfnet.train`` finds the thread setter, so an
+    OpenBLAS that another package loaded, such as scipy's, is never asked."""
     with open("/proc/meminfo") as f:
         mem_total_kib = int(next(line.split()[1] for line in f if line.startswith("MemTotal:")))
-    with open("/proc/self/maps") as f:
-        lib = next((line.split()[-1] for line in f if "openblas" in line), None)
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        lib = None
     names = ("scipy_openblas_get_corename64_", "openblas_get_corename")
-    corename = next(filter(None, (getattr(ctypes.CDLL(lib), name, None) for name in names)), None) if lib else None
+    corename = next(filter(None, (getattr(lib, name, None) for name in names)), None) if lib else None
     if corename is not None:
         corename.restype = ctypes.c_char_p
     return {"mem_total_kib": mem_total_kib, "openblas_core": corename and corename().decode()}

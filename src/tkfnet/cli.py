@@ -6,7 +6,8 @@ Every run that owns an output directory writes a manifest there; runs
 without one echo the manifest to stdout as '# ' comment lines. train takes
 its class count from the dataset and evaluates on its training set; eval
 and infer take the class count from the weights and the input size from the
-manifest beside them.
+manifest beside them, and build the model preset that the weights hold:
+only train reads --model or a config file's model.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 I/O error, 4 shape or class mismatch, 5 non-finite values (a diverged
@@ -422,10 +423,9 @@ def _load_model(weights_path, cfg):
     if bad:
         raise CliError("NUMERIC", f"weights file {weights_path} has non-finite values in "
                        f"{len(bad)} of {len(arrays)} records, first {bad[0]}")
-    detected_model, classes = _weights_geometry(arrays)
-    model_name = cfg.model or detected_model
-    model = TKFNet(model_config(model_name, classes), state=arrays)
-    return model, replace(cfg, model=model_name)
+    name, classes = _weights_geometry(arrays)
+    model = TKFNet(model_config(name, classes), state=arrays)
+    return model, replace(cfg, model=name)
 
 
 def cmd_eval(args):
@@ -496,10 +496,7 @@ def cmd_infer(args):
 
 def cmd_gradcheck(args):
     cfg, _ = _load_run_config(args)
-    if cfg.model is None:
-        cfg = replace(cfg, model="small")
-    if cfg.model != "small":
-        raise CliError("CONFIG", "gradcheck supports only the small model")
+    cfg = replace(cfg, model="small")
     out_dir = _out_dir(cfg)
     _create_dir(out_dir)
     _emit_manifest(out_dir, "gradcheck", cfg)
@@ -564,18 +561,18 @@ def _build_parser():
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    add_flags(common, "seed", "model", "out")
+    add_flags(common, "out")
 
     parser = _Parser(prog="tkfnet", description="texture-attentive expression classifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", parents=[common], help="train a model")
-    add_flags(train, "data", "epochs", "batch_size", "lr_init", "lr_end")
+    add_flags(train, "model", "seed", "data", "epochs", "batch_size", "lr_init", "lr_end")
     train.set_defaults(handler=cmd_train)
 
     evaluate_cmd = sub.add_parser("eval", parents=[common], help="evaluate saved weights")
     evaluate_cmd.add_argument("weights", help="path to a .tkfw weights file")
-    add_flags(evaluate_cmd, "data")
+    add_flags(evaluate_cmd, "seed", "data")
     evaluate_cmd.set_defaults(handler=cmd_eval)
 
     infer = sub.add_parser("infer", parents=[common], help="classify one image")
@@ -587,10 +584,12 @@ def _build_parser():
 
     gradcheck = sub.add_parser("gradcheck", parents=[common],
                                help="finite-difference gradient verification")
+    add_flags(gradcheck, "seed")
     gradcheck.set_defaults(handler=cmd_gradcheck)
 
     synth = sub.add_parser("synth", parents=[common], help="materialize a synthetic dataset")
     synth.add_argument("spec", help="CLASSESxPER_CLASSxSIZE, e.g. 7x20x64")
+    add_flags(synth, "seed")
     synth.set_defaults(handler=cmd_synth)
     return parser
 

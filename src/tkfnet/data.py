@@ -243,13 +243,15 @@ def preprocess(sample, target=None):
 
 # Seven orientation families cover the label space; angles are k * pi / 7.
 MAX_SYNTH_CLASSES = 7
-# Grating cycles per pixel, mean amplitude and its relative jitter.
+# Grating cycles per pixel, mean amplitude, its relative jitter and the
+# standard deviation of the additive Gaussian noise.
 SYNTH_FREQUENCY = 0.125
 SYNTH_AMPLITUDE = 0.35
 SYNTH_JITTER = 0.1
+SYNTH_NOISE = 0.05
 
 
-def synth_dataset(classes=7, per_class=20, size=(32, 32), seed=0, noise_sigma=0.05):
+def synth_dataset(classes=7, per_class=20, size=(32, 32), seed=0):
     """Procedural corpus of oriented sinusoidal gratings.
 
     Each class has a fixed orientation; every sample draws a random phase,
@@ -273,8 +275,7 @@ def synth_dataset(classes=7, per_class=20, size=(32, 32), seed=0, noise_sigma=0.
             phase = rng.uniform(0.0, 2.0 * math.pi)
             amp = SYNTH_AMPLITUDE * (1.0 + rng.uniform(-SYNTH_JITTER, SYNTH_JITTER))
             img = 0.5 + amp * np.sin(2.0 * math.pi * SYNTH_FREQUENCY * axis + phase)
-            if noise_sigma > 0:
-                img = img + rng.normal(0.0, noise_sigma, size=(h, w))
+            img = img + rng.normal(0.0, SYNTH_NOISE, size=(h, w))
             img = np.clip(img, 0.0, 1.0).astype(np.float32)
             data = np.repeat(img[None, :, :, None], 3, axis=3)
             samples.append(Sample(Tensor(data), label))

@@ -1,11 +1,11 @@
 """Loss, momentum optimization, the epoch loop and evaluation metrics.
 
 A training batch is stepped as two shards at once when each shard holds a
-tape of ``_TAPE_SAMPLES`` samples and such a tape holds at least
-``_SHARD_FLOOR`` input elements: shard 0, the first ceil(n / 2)
-samples, on the model in the calling thread, and shard 1, the rest, on a
-replica in one helper thread. The replica's parameters share the model's
-arrays and keep their own gradients. Each shard records one tape per
+tape of ``_TAPE_SAMPLES`` samples and the model's stem makes at least
+``_SHARD_FLOOR`` output elements for such a tape: shard 0, the first
+ceil(n / 2) samples, on the model in the calling thread, and shard 1, the
+rest, on a replica in one helper thread. The replica's parameters share the
+model's arrays and keep their own gradients. Each shard records one tape per
 ``_TAPE_SAMPLES`` of its samples (one per sample when they do not divide it)
 and runs each tape's backward, so its gradients add up over its tapes. Then
 each tape's gradient is weighted by its samples' share of the batch and the
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .backbone import STEM_STRIDE
 from .data import preprocess
 from .model import TKFNet
 from .tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
@@ -35,18 +36,20 @@ from .tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 # smaller one, such as a trailing batch, they may not. Under its Haswell and
 # Prescott kernels they may differ between batches of 8 or more too.
 EVAL_BATCH = 8
-# Least input elements in a tape of _TAPE_SAMPLES samples for a batch to
-# shard. The two shards take turns at each tape's Python work, so a batch of
-# small tapes loses. Measured on a 2-CPU box, median taped step in one
-# process, unsharded against sharded, batch 8 unless given, by input
-# elements per tape: small@32 (6,144) batch 32 11 -> 55 ms, batch 256 66 ->
-# 722 ms; base@96 (55,296) 86 -> 116 ms; base@128 (98,304) 151 -> 159 ms;
-# base@160 (153,600) 204 -> 192 ms; base@224 (301,056) 470 -> 357 ms, batch
-# 4 207 -> 188 ms, while batch 2, a tape of 1 per shard, loses 125 -> 134 ms.
-# So the floor lies between base@128's loss and base@160's gain. The input
-# size does not see the model's width: small@224 (301,056) loses too, 66 ->
-# 79 ms.
-_SHARD_FLOOR = 1 << 17
+# Least stem output elements in a tape of _TAPE_SAMPLES samples for a batch
+# to shard: _TAPE_SAMPLES * ceil(h / 2) * ceil(w / 2) * stem channels, so the
+# floor weighs the input size by the model's width. The two shards take turns
+# at each tape's Python work, so a batch of small tapes loses. Measured on a
+# 2-CPU box, median taped step in one process, unsharded against sharded,
+# batch 8 unless given, by stem elements per tape: small@32 (4,096) batch 32
+# 11 -> 55 ms, batch 256 66 -> 722 ms; base@96 (147,456) 86 -> 116 ms;
+# base@128 (262,144) 151 -> 159 ms; small@224 (200,704) 53-57 -> 58-62 ms;
+# base@144 (331,776) 113-125 -> 114-127 ms; base@160 (409,600) 132-188 ->
+# 122-150 ms; small@320 (409,600) 107-127 -> 79-89 ms; base@224 (802,816)
+# 470 -> 357 ms, batch 4 207 -> 188 ms, while batch 2, a tape of 1 per
+# shard, loses 125 -> 134 ms. So the floor lies between base@144 and
+# base@160, the smallest sizes that base accepts on either side.
+_SHARD_FLOOR = 3 << 17
 # Samples per tape within a shard. A base@224 batch-8 step, the variants
 # interleaved in one process: unsharded 400 ms; tapes of 4, 2 and 1 samples
 # 256, 252 and 327 ms (one sample per tape leaves the step bound by its
@@ -229,10 +232,11 @@ def _taped_step(model, x, y):
     return loss.item()
 
 
-def _shards(x):
-    """Whether the batch ``x`` is stepped as two shards; see the module docstring."""
-    return (_BLAS_THREADS is not None and len(x.data) >= 2 * _TAPE_SAMPLES
-            and _TAPE_SAMPLES * x.data[0].size >= _SHARD_FLOOR)
+def _shards(model, x):
+    """Whether ``model`` steps the batch ``x`` as two shards; see the module docstring."""
+    n, h, w, _ = x.shape
+    stem = _TAPE_SAMPLES * -(-h // STEM_STRIDE) * -(-w // STEM_STRIDE) * model.config.backbone.stem_channels
+    return _BLAS_THREADS is not None and n >= 2 * _TAPE_SAMPLES and stem >= _SHARD_FLOOR
 
 
 def _replica(model):
@@ -303,7 +307,7 @@ def train_epoch(model, dataset, optimizer, batch_size, seed, epoch, input_size=N
         for start in range(0, n, batch_size):
             batch = [dataset.samples[i] for i in order[start : start + batch_size]]
             x, y = _batch_arrays(batch, input_size)
-            if _shards(x):
+            if _shards(model, x):
                 if replica is None:
                     replica = _replica(model)
                 loss = _sharded_step(model, replica, pool, x, y)

@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
@@ -68,3 +70,15 @@ def test_bench_verdicts_need_enough_pairs():
             for got in verdicts.values():
                 low, high = got["interval"]
                 assert low <= got["median"] <= high and got["pairs"] == k and 0 < got["coverage"] < 1
+
+
+def test_openblas_core_is_numpys_even_with_scipys_openblas_loaded():
+    # scipy.special loads scipy's own OpenBLAS, which exports neither corename.
+    import scipy.special  # noqa: F401
+
+    from tkfnet import train
+
+    if train._BLAS_THREADS is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    core = bench_json.machine_extras()["openblas_core"]
+    assert isinstance(core, str) and core

@@ -417,13 +417,14 @@ class TestInfer:
     def test_one_parser_serves_each_command_its_own_arguments(self, trained, synth_tree,
                                                               tmp_path, capsys):
         weights, image = str(trained / "weights.tkfw"), str(synth_tree / "grating_0" / "00000.ppm")
-        first = tmp_path / "first"
-        assert main(["infer", weights, image, "--dump-attention", "--out", str(first),
-                     "--seed", "5"]) == 0
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["infer", weights, image, "--dump-attention", "--out", str(first)]) == 0
         built = tkfnet.cli._build_parser.cache_info().misses
+        assert main(["eval", weights, "--data", str(synth_tree), "--seed", "5",
+                     "--out", str(second)]) == 0
         capsys.readouterr()
         # Without --out the manifests go to stdout. Neither later command sees
-        # the first one's seed, and the last infer, which an inherited
+        # the eval's seed, and the last infer, which an inherited
         # --dump-attention would fail for want of --out, succeeds.
         assert main(["eval", weights, "--data", str(synth_tree)]) == 0
         eval_out = capsys.readouterr().out
@@ -431,7 +432,7 @@ class TestInfer:
         infer_out = capsys.readouterr().out
         assert tkfnet.cli._build_parser.cache_info().misses == built
         assert (first / "attention.csv").is_file()
-        assert "seed=5" in (first / "manifest.txt").read_text().splitlines()
+        assert "seed=5" in (second / "manifest.txt").read_text().splitlines()
         assert "# command=eval" in eval_out and "# image=" not in eval_out
         assert "# seed=5" not in eval_out and "# seed=5" not in infer_out
         assert f"# image={image}" in infer_out
@@ -727,16 +728,18 @@ class TestLoadPath:
         assert captured.err.startswith("ERR:NUMERIC:") and captured.err.count("\n") == 1
         assert reason in captured.err
 
-    def test_infer_output_does_not_depend_on_seed(self, trained, synth_tree, tmp_path, capsys):
-        image = synth_tree / "grating_2" / "00001.ppm"
-        outputs = []
-        for seed in ("0", "5"):
-            out = tmp_path / f"seed{seed}"
-            code = main(["infer", str(trained / "weights.tkfw"), str(image), "--seed", seed,
-                         "--dump-attention", "--out", str(out)])
-            assert code == 0
-            outputs.append((capsys.readouterr().out, (out / "attention.csv").read_bytes()))
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_weights_choose_the_model_whatever_the_config_says(self, trained, synth_tree, tmp_path,
+                                                               capsys, command):
+        # Only train reads a config file's model; these weights are small.
+        config = tmp_path / "base.cfg"
+        config.write_text("model = base\n")
+        if command == "infer":
+            argv = ["infer", str(trained / "weights.tkfw"), str(synth_tree / "grating_0" / "00000.ppm")]
+        else:
+            argv = ["eval", str(trained / "weights.tkfw"), "--data", "synth:3x4x16"]
+        assert main(argv + ["--config", str(config)]) == 0
+        assert "# model=small\n" in capsys.readouterr().out
 
 
 class TestGradcheckCommand:
@@ -756,9 +759,13 @@ class TestGradcheckCommand:
         assert captured.err.startswith("ERR:VERIFY:")
         assert "tensor-core" in captured.err
 
-    def test_base_model_rejected(self, capsys):
-        assert main(["gradcheck", "--model", "base"]) == 2
-        assert "small" in capsys.readouterr().err
+    def test_a_config_that_names_base_runs_the_small_suite(self, tmp_path, capsys):
+        config = tmp_path / "base.cfg"
+        config.write_text("model = base\n")
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--config", str(config), "--out", str(out)]) == 0
+        assert "full-model max_rel_err" in capsys.readouterr().out
+        assert "model=small" in (out / "manifest.txt").read_text().splitlines()
 
 
 class TestArgumentErrors:
@@ -777,6 +784,21 @@ class TestArgumentErrors:
     def test_invalid_flag_value(self, capsys):
         assert main(["train", "--epochs", "many"]) == 2
         assert "epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "w.tkfw", "--data", "synth:2x2x8", "--model", "small"],
+        ["infer", "w.tkfw", "x.ppm", "--model", "small"],
+        ["gradcheck", "--model", "small"],
+        ["synth", "2x1x8", "--model", "small"],
+        ["infer", "w.tkfw", "x.ppm", "--seed", "0"],
+    ], ids=["eval_model", "infer_model", "gradcheck_model", "synth_model", "infer_seed"])
+    def test_flags_a_command_does_not_read_are_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("ERR:CONFIG: unrecognized arguments: --")
+        assert not out.exists()
 
     def test_error_output_is_single_line(self, capsys):
         main(["train"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tkfnet.data
 from tkfnet.data import (
     DataError,
     Dataset,
@@ -251,11 +252,12 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(classes=8)
 
-    def test_orientation_recoverable_from_gradients(self):
+    def test_orientation_recoverable_from_gradients(self, monkeypatch):
         # The dominant gradient orientation of a noise-free grating matches
         # its class angle k * pi / 7 (mod pi). Estimated by the double-angle
         # average of image gradients.
-        data = synth_dataset(classes=7, per_class=2, size=(64, 64), seed=5, noise_sigma=0.0)
+        monkeypatch.setattr(tkfnet.data, "SYNTH_NOISE", 0.0)
+        data = synth_dataset(classes=7, per_class=2, size=(64, 64), seed=5)
         for s in data.samples:
             img = s.image.data[0, :, :, 0].astype(np.float64)
             dy, dx = np.gradient(img)

@@ -1,7 +1,7 @@
 """The README's library example runs as written, its overview lists the ops
 of ``tkfnet.tensor.OPS``, and its CLI reference lists exactly the settings
-and flags that ``tkfnet.cli`` declares and the rows that ``tkfnet gradcheck``
-runs."""
+and each command's flags that ``tkfnet.cli`` declares and the rows that
+``tkfnet gradcheck`` runs."""
 
 import argparse
 import re
@@ -67,8 +67,10 @@ def test_flag_lists_match_the_parsers():
     common = set.intersection(*flags.values())
     cli = README.read_text().split("## CLI", 1)[1]
     assert backticked_flags(re.search(r"All accept (.*?)\.\n", cli, re.S).group(1)) == common
-    train = cli.split("### train", 1)[1].split("###", 1)[0]
-    assert backticked_flags(re.search(r"Flags: (.*?)\. ", train, re.S).group(1)) == flags["train"] - common
+    for name, own in flags.items():
+        section = cli.split(f"### {name}\n", 1)[1].split("\n### ", 1)[0]
+        listed = backticked_flags(re.search(r"Flags: (.*?)\.\s", section, re.S).group(1))
+        assert listed == own - common, name
 
 
 def test_gradcheck_rows_are_the_suite_roster():

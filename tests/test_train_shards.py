@@ -1,11 +1,15 @@
 """Two-shard training steps: when a batch shards, what a sharded step
-computes, and that it fails, warns and restores OpenBLAS as the unsharded
-step does."""
+computes, that it fails, warns and restores OpenBLAS as the unsharded step
+does, and that a sharded epoch hands the heap its shards freed back."""
 
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,18 +56,22 @@ def two_blas_threads():
 
 
 def test_batches_shard_above_the_floor_and_with_a_blas_setter(monkeypatch):
-    def batch(n, side):
-        return Tensor(np.zeros((n, side, side, 3), np.float32))
+    def shards(name, n, side):
+        return train._shards(models[name], Tensor(np.zeros((n, side, side, 3), np.float32)))
 
+    models = {name: TKFNet(model_config(name), seed=0) for name in ("base", "small")}
     monkeypatch.setattr(train, "_BLAS_THREADS", (lambda: 2, lambda count: None))
     # base@224 batch 8 shards, as do batches 5 and 4; below 4 a shard holds
     # no tape of 2. small@32 never shards, at criterion 5's batch 32 or more.
-    assert [train._shards(batch(n, 224)) for n in (8, 5, 4, 3, 2, 1)] == [True] * 3 + [False] * 3
-    assert not any(train._shards(batch(n, 32)) for n in (32, 128, 256, 512))
-    # A tape of two 148 px samples holds 131,424 elements, one of 147 px 129,654.
-    assert [train._shards(batch(4, side)) for side in (148, 147)] == [True, False]
+    assert [shards("base", n, 224) for n in (8, 5, 4, 3, 2, 1)] == [True] * 3 + [False] * 3
+    assert not any(shards("small", n, 32) for n in (32, 128, 256, 512))
+    # The stem makes 409,600 elements for a tape of two base@160 samples and
+    # 331,776 for one of base@144. small, a quarter as wide, makes 200,704 at
+    # 224 px and 409,600 at 320.
+    assert [shards("base", 4, side) for side in (160, 144)] == [True, False]
+    assert [shards("small", 8, side) for side in (320, 312, 224)] == [True, False, False]
     monkeypatch.setattr(train, "_BLAS_THREADS", None)
-    assert not train._shards(batch(8, 224))
+    assert not shards("base", 8, 224)
 
 
 def in_turn(model, replica, x, y, shards):
@@ -223,3 +231,39 @@ def test_an_overflowing_sharded_epoch_warns_in_neither_thread():
         with np.errstate(all="ignore"):
             loss = run()
     assert not np.isfinite(loss)
+
+
+# One sharded base@224 epoch in a fresh process, with or without the release
+# of the freed heap; prints VmRSS in KiB after the epoch.
+EPOCH_RSS = """
+import sys
+from tkfnet import train
+from tkfnet.data import synth_dataset
+from tkfnet.model import TKFNet, model_config
+from tkfnet.train import LrSchedule, MomentumOptimizer, train_epoch
+
+if sys.argv[1] == "keep":
+    train._GLIBC = None
+data = synth_dataset(classes=2, per_class=8, size=(48, 48), seed=0)
+model = TKFNet(model_config("base", 2), seed=0)
+optimizer = MomentumOptimizer(model.parameters(), LrSchedule(0.01, 0.01, 2))
+train_epoch(model, data, optimizer, 8, seed=0, epoch=0, input_size=(224, 224))
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmRSS:")))
+"""
+
+
+@needs_blas_setter
+@pytest.mark.skipif(train._GLIBC is None, reason="the release needs glibc")
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="no /proc/self/status")
+def test_a_sharded_epoch_returns_the_heap_its_shards_freed():
+    # The margin was fixed before this test first ran: 10 MiB, against 50-52
+    # MiB with the release and 70-99 MiB without on a 2-CPU Linux host.
+    src = str(Path(train.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    rss = {}
+    for mode in ("release", "keep"):
+        result = subprocess.run([sys.executable, "-c", EPOCH_RSS, mode], env=env, capture_output=True,
+                                text=True, timeout=120, check=True)
+        rss[mode] = int(result.stdout) / 1024
+    assert rss["release"] + 10 <= rss["keep"], rss
