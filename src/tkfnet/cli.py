@@ -3,7 +3,10 @@
 Subcommands: train, eval, infer, gradcheck, synth. Configuration comes from
 an optional flat key=value file ('#' starts a comment) overridden by flags.
 Every run that owns an output directory writes a manifest there; runs
-without one echo the manifest to stdout as '# ' comment lines. train takes
+without one echo the manifest to stdout as '# ' comment lines. A manifest
+records the settings its command reads, the command's flags in
+``COMMAND_FLAGS`` plus input_size where images are preprocessed, and the
+model preset that eval, infer and gradcheck ran. train takes
 its class count from the dataset and evaluates on its training set; eval
 and infer take the class count from the weights and the input size from the
 manifest beside them, and build the model preset that the weights hold:
@@ -183,13 +186,26 @@ def _format_value(value):
     return str(value)
 
 
+# The flags each command takes beside --config and --out, which _build_parser
+# adds. With input_size for the commands that preprocess images, they are
+# the settings a command reads and the ones its manifest records.
+COMMAND_FLAGS = {
+    "train": ("model", "seed", "data", "epochs", "batch_size", "lr_init", "lr_end"),
+    "eval": ("seed", "data"),
+    "infer": (),
+    "gradcheck": ("seed",),
+    "synth": ("seed",),
+}
+_SIZED = ("train", "eval", "infer")
+
+
 def _manifest_lines(command, cfg, class_names=None, extra=()):
     lines = [f"command={command}"]
     lines.extend(f"{key}={_format_value(value)}" for key, value in extra)
+    reads = set(COMMAND_FLAGS[command]) | ({"input_size"} if command in _SIZED else set())
     for f in fields(RunConfig):
-        if f.name == "out":
-            continue
-        lines.append(f"{f.name}={_format_value(getattr(cfg, f.name))}")
+        if f.name in reads:
+            lines.append(f"{f.name}={_format_value(getattr(cfg, f.name))}")
     if class_names:
         lines.extend(f"class_{i}={name}" for i, name in enumerate(class_names))
     return lines
@@ -417,15 +433,15 @@ def _adopt_run_settings(cfg, explicit, weights_path):
     return cfg, manifest
 
 
-def _load_model(weights_path, cfg):
+def _load_model(weights_path):
+    """The model the weights hold, and the name of its preset."""
     arrays = read_weights(weights_path)
     bad = [name for name, a in arrays.items() if not _all_finite(a)]
     if bad:
         raise CliError("NUMERIC", f"weights file {weights_path} has non-finite values in "
                        f"{len(bad)} of {len(arrays)} records, first {bad[0]}")
     name, classes = _weights_geometry(arrays)
-    model = TKFNet(model_config(name, classes), state=arrays)
-    return model, replace(cfg, model=name)
+    return TKFNet(model_config(name, classes), state=arrays), name
 
 
 def cmd_eval(args):
@@ -434,7 +450,7 @@ def cmd_eval(args):
         raise CliError("CONFIG", "eval requires --data (a dataset folder or synth:CxNxS)")
     cfg, _ = _adopt_run_settings(cfg, explicit, args.weights)
     out_dir = _out_dir(cfg)
-    model, cfg = _load_model(args.weights, cfg)
+    model, preset = _load_model(args.weights)
 
     dataset = _resolve_dataset(cfg.data, cfg.seed)
     classes, found = model.config.classes, len(dataset.class_names)
@@ -449,7 +465,7 @@ def cmd_eval(args):
     report = f"accuracy {metrics.accuracy:.6f} ({counts})\n"
     if out_dir is None:
         report += _confusion_csv(metrics.confusion, dataset.class_names)
-    extra = (("weights", args.weights),)
+    extra = (("weights", args.weights), ("model", preset))
     _emit_manifest(out_dir, "eval", cfg, dataset.class_names, extra, report)
 
 
@@ -470,7 +486,7 @@ def cmd_infer(args):
         raise CliError("CONFIG", "--dump-attention requires --out")
     cfg, manifest = _adopt_run_settings(cfg, explicit, args.weights)
     out_dir = _out_dir(cfg)
-    model, cfg = _load_model(args.weights, cfg)
+    model, preset = _load_model(args.weights)
 
     image = load_image(args.image)
     _create_dir(out_dir)
@@ -484,7 +500,7 @@ def cmd_infer(args):
 
     report = f"predicted {class_names[int(np.argmax(probs))]}\n"
     report += "".join(f"prob {name} {p:.8f}\n" for name, p in zip(class_names, probs))
-    extra = (("weights", args.weights), ("image", args.image))
+    extra = (("weights", args.weights), ("image", args.image), ("model", preset))
     _emit_manifest(out_dir, "infer", cfg, class_names, extra, report)
 
     if args.dump_attention:
@@ -496,10 +512,9 @@ def cmd_infer(args):
 
 def cmd_gradcheck(args):
     cfg, _ = _load_run_config(args)
-    cfg = replace(cfg, model="small")
     out_dir = _out_dir(cfg)
     _create_dir(out_dir)
-    _emit_manifest(out_dir, "gradcheck", cfg)
+    _emit_manifest(out_dir, "gradcheck", cfg, extra=(("model", "small"),))
 
     results = run_suite(
         seed=cfg.seed,
@@ -567,12 +582,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", parents=[common], help="train a model")
-    add_flags(train, "model", "seed", "data", "epochs", "batch_size", "lr_init", "lr_end")
+    add_flags(train, *COMMAND_FLAGS["train"])
     train.set_defaults(handler=cmd_train)
 
     evaluate_cmd = sub.add_parser("eval", parents=[common], help="evaluate saved weights")
     evaluate_cmd.add_argument("weights", help="path to a .tkfw weights file")
-    add_flags(evaluate_cmd, "seed", "data")
+    add_flags(evaluate_cmd, *COMMAND_FLAGS["eval"])
     evaluate_cmd.set_defaults(handler=cmd_eval)
 
     infer = sub.add_parser("infer", parents=[common], help="classify one image")
@@ -580,16 +595,17 @@ def _build_parser():
     infer.add_argument("image", help="path to a .ppm or .rt32 image")
     infer.add_argument("--dump-attention", action="store_true",
                        help="write the channel gate to attention.csv (needs --out)")
+    add_flags(infer, *COMMAND_FLAGS["infer"])
     infer.set_defaults(handler=cmd_infer)
 
     gradcheck = sub.add_parser("gradcheck", parents=[common],
                                help="finite-difference gradient verification")
-    add_flags(gradcheck, "seed")
+    add_flags(gradcheck, *COMMAND_FLAGS["gradcheck"])
     gradcheck.set_defaults(handler=cmd_gradcheck)
 
     synth = sub.add_parser("synth", parents=[common], help="materialize a synthetic dataset")
     synth.add_argument("spec", help="CLASSESxPER_CLASSxSIZE, e.g. 7x20x64")
-    add_flags(synth, "seed")
+    add_flags(synth, *COMMAND_FLAGS["synth"])
     synth.set_defaults(handler=cmd_synth)
     return parser
 

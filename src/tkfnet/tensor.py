@@ -39,35 +39,42 @@ convolution's im2col matrix, relu's mask and the centered values of
 ``spatial_moments``. The rebuilt values carry the forward pass's own bits, so
 gradients do not change.
 
-A convolution's forward builds its im2col patch matrix and multiplies it a
+A convolution's forward multiplies its im2col patch matrix by the kernel a
 block of whole samples at a time, each block at least ``_PATCH_BLOCK``
-elements, so it never holds the whole batch's matrix; a 1x1 stride-1
-kernel's matrix is the block of input itself. Each GEMM whose rows are
-output pixels, the forward's product of each block and the input gradient's
-product of each tap, runs in ``_matmul_rows``: in row blocks of
-``_GEMM_ROWS`` row-operand elements, a shorter remainder joining the last
-block, each block at least ``_PATCH_BLOCK`` multiply-adds. With two threads
-OpenBLAS packs a call's whole row operand into buffers whose pages stay
-resident, so the row bound caps them; the floor keeps each block above
-OpenBLAS's small-matrix bound (m * k * n <= 1e6) whenever the whole product
-is above it, so the blocks keep the whole product's bits on the kernels that
-``_PATCH_BLOCK``'s comment names.
+elements, and within each block, as does the input gradient's product of
+each tap, in the row blocks of ``_matmul_rows``: ``_GEMM_ROWS`` row-operand
+elements each, a shorter remainder joining the last block, each block at
+least ``_PATCH_BLOCK`` multiply-adds. With two threads OpenBLAS packs a
+call's whole row operand into buffers whose pages stay resident, so the row
+bound caps them; the floor keeps each block above OpenBLAS's small-matrix
+bound (m * k * n <= 1e6) whenever the whole product is above it, so the
+blocks keep the whole product's bits on the kernels that ``_PATCH_BLOCK``'s
+comment names. While a ``Tape`` is active the forward builds a sample
+block's whole matrix at once; otherwise it builds only the rows of one GEMM
+call at a time, which may start or end part-way through an output row or a
+sample, so its scratch is one GEMM block's rows whatever the batch or image
+size. The GEMM calls, and so the outputs' bits, are the same either way. A
+1x1 stride-1 kernel's matrix is the input itself, a strided 1x1 kernel's
+rows are read straight from the input, and any other kernel's rows are read
+from a zero-padded band of the input rows that they touch.
 
-One rule, in ``_scratch``, decides where a convolution's patch and
-padded-input scratch lives: while the calling thread has a ``Tape`` active,
+One rule, in ``_scratch``, decides where a convolution's patch rows and
+padded band live: while the calling thread has a ``Tape`` active,
 ``_scratch`` empties that thread's pool and allocates afresh; otherwise it
-hands out the thread's pooled buffer for the role, each in its own anonymous
-``mmap`` grown to the largest request seen. Every padded buffer has its
-border zeroed on every call. Backward rebuilds the matrix for the kernel
-gradient through one reused buffer, a kernel row at a time when each kernel
-row's columns hold at least ``_PATCH_BLOCK`` elements, and whole, for one
-product, below that. Either way the samples are
-padded one of the forward's blocks at a time in one reused buffer, never in a
-padded copy of the batch. The input gradient is summed tap by tap into an
-unpadded buffer, which then becomes the input's gradient; each tap's product
-goes through one reused buffer. A 1x1 kernel has one tap, whose product is
-the gradient itself at stride 1; at a larger stride, when the input already
-holds a gradient, the product is added into it in place.
+hands out the thread's pooled buffer for the role, each in its own
+anonymous ``mmap`` grown to the largest request seen, so an untaped
+forward's pool holds one GEMM block and one band. Every band has its border
+zeroed on every call. Backward rebuilds the matrix for the kernel gradient
+through one reused buffer, a kernel row at a time when each kernel row's
+columns hold at least ``_PATCH_BLOCK`` elements, and whole, for one product,
+below that. Either way the samples are padded one of the forward's sample
+blocks at a time, in a band of the input rows that the kernel rows built
+read, never in a padded copy of the batch. The input gradient is summed tap
+by tap into an unpadded buffer, which then becomes the input's gradient;
+each tap's product goes through one reused buffer. A 1x1 kernel has one
+tap, whose product is the gradient itself at stride 1; at a larger stride,
+when the input already holds a gradient, the product is added into it in
+place.
 
 A tape replays once. Right after a node has run, or has been skipped because
 none of its outputs received a gradient, backward drops the node's closure,
@@ -386,13 +393,18 @@ def _sorted_sum(values, center=None):
     # which keeps spatial reductions permutation-invariant at the bit level.
     # Widening to float64 is exact and keeps the order, so sorting in the
     # input's dtype gives the bits of sorting a float64 copy. A sample at a
-    # time, only one sample's centered and sorted copies are held.
+    # time, only one sample's centered and sorted copies are held. Each
+    # channel is sorted along a contiguous row of a transposed copy, which is
+    # faster than along a strided column, and transposed back, so that the
+    # sum over axis 0 adds each column in the order it did before.
     out = np.empty((values.shape[0], values.shape[2]))
     for b, sample in enumerate(values):
         if center is not None:
             sample = sample - center[b]
             sample *= sample
-        out[b] = np.sort(sample, axis=0).sum(axis=0, dtype=np.float64)
+        rows = np.ascontiguousarray(sample.T)
+        rows.sort()
+        out[b] = np.ascontiguousarray(rows.T).sum(axis=0, dtype=np.float64)
     return out
 
 
@@ -428,40 +440,88 @@ def _conv_geometry(h, w, kh, kw, stride):
     return oh, ow, (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
 
 
-def _im2col(data, kh, kw, stride, pads, oh, ow, out, kernel_rows=None):
-    """The (n * oh * ow, kh * kw * cin) patch matrix of a convolution input,
-    written into the caller's buffer ``out``.
+def _im2col(data, kh, kw, stride, pads, oh, ow, out, span=None, kernel_rows=None):
+    """Rows ``span = (first, last)``, by default all, of the (n * oh * ow,
+    kh * kw * cin) patch matrix of a convolution input, written into the
+    first rows of the caller's buffer ``out`` and returned.
 
     Row (b, i, j) holds the zero-padded kh x kw window under output pixel
     (i, j) of sample b, taps in row-major order with channels fastest. With
     ``kernel_rows = (r0, r1)`` only the columns of taps in kernel rows r0 to
-    r1 - 1 are written, an (n * oh * ow, (r1 - r0) * kw * cin) matrix. A 1x1
-    stride-1 kernel's matrix is the input itself, as a view. Otherwise the
-    windows are copied straight into the matrix one block of
-    ``_sample_blocks`` at a time, from the input itself or, when the kernel
-    pads, from one padded buffer sized for the largest block, whose zero
-    border is written on every call: the ``_scratch`` "pad" buffer, fresh
-    while a ``Tape`` is active and the thread's pooled one otherwise.
+    r1 - 1 are written, (r1 - r0) * kw * cin of them. A 1x1 stride-1
+    kernel's rows are the input itself, as a view. Otherwise the span is
+    copied in runs that cross no block of ``_sample_blocks``, each either
+    part of one sample, which may start and end part-way through an output
+    row, or whole samples; see ``_copy_windows``.
     """
     n, h, w, cin = data.shape
+    rows = oh * ow
+    first, last = span or (0, n * rows)
     if (kh, kw, stride) == (1, 1, 1):
-        return data.reshape(n * h * w, cin)
-    r0, r1 = kernel_rows or (0, kh)
-    dst = out.reshape(n, oh, ow, r1 - r0, kw, cin)
-    pt, pb, pl, pr = pads
-    blocks = _sample_blocks(n, oh * ow * kh * kw * cin)
+        return data.reshape(n * rows, cin)[first:last]
+    kernel_rows = kernel_rows or (0, kh)
+    for start, stop in _sample_blocks(n, rows * kh * kw * cin):
+        row, end = max(first, start * rows), min(last, stop * rows)
+        while row < end:
+            b, p = divmod(row, rows)
+            if p or end - row < rows:
+                pixels = b, b + 1, p, min(rows, p + end - row)
+            else:
+                pixels = b, b + (end - row) // rows, 0, rows
+            row += _copy_windows(data, pixels, kernel_rows, kw, stride, pads, ow, out[row - first :])
+    return out[: last - first]
+
+
+def _copy_windows(data, pixels, kernel_rows, kw, stride, pads, ow, out):
+    """Write the patch rows of ``pixels = (b0, b1, p0, p1)``, output pixels
+    p0 to p1 - 1 in row-major order of each of samples b0 to b1 - 1, into the
+    first rows of ``out``, and return how many; several samples are whole
+    ones. The windows of kernel rows ``kernel_rows`` are read from the input
+    itself when the kernel does not pad, and otherwise from a zero-padded
+    band of the input rows that they read, in the ``_scratch`` "pad"
+    buffer, whose border is written on every call."""
+    b0, b1, p0, p1 = pixels
+    _, h, w, cin = data.shape
+    r0, r1 = kernel_rows
+    pt, _, pl, pr = pads
+    # The output rows that the pixels lie in, and the input rows that their
+    # windows read, top inclusive and bottom exclusive, with padding as rows
+    # outside [0, h).
+    i0, i1 = p0 // ow, -(-p1 // ow)
+    top, bottom = i0 * stride + r0 - pt, (i1 - 1) * stride + r1 - pt
     if any(pads):
-        xp = _scratch("pad", (n - blocks[-1][0], pt + h + pb, pl + w + pr, cin), data.dtype)
-        xp[:, :pt] = xp[:, pt + h :] = 0
-        xp[:, :, :pl] = xp[:, :, pl + w :] = 0
-    for start, stop in blocks:
-        src = data[start:stop]
-        if any(pads):
-            xp[: stop - start, pt : pt + h, pl : pl + w] = src
-            src = xp[: stop - start]
-        windows = np.lib.stride_tricks.sliding_window_view(src, (kh, kw), axis=(1, 2))
-        dst[start:stop] = windows[:, ::stride, ::stride, :, r0:r1].transpose(0, 1, 2, 4, 5, 3)
-    return out
+        src = _scratch("pad", (b1 - b0, bottom - top, pl + w + pr, cin), data.dtype)
+        lo = min(max(-top, 0), bottom - top)
+        hi = max(min(h - top, bottom - top), lo)
+        if lo:
+            src[:, :lo] = 0
+        if hi < bottom - top:
+            src[:, hi:] = 0
+        src[:, lo:hi, :pl] = 0
+        src[:, lo:hi, pl + w :] = 0
+        src[:, lo:hi, pl : pl + w] = data[b0:b1, top + lo : top + hi]
+    else:
+        src = data[b0:b1, top:bottom]
+    # Window (b, i, j) of kernel rows r0 to r1 - 1, taps in row-major order
+    # with channels fastest.
+    sb, sh, sw, sc = src.strides
+    windows = np.lib.stride_tricks.as_strided(
+        src, (b1 - b0, i1 - i0, ow, r1 - r0, kw, cin),
+        (sb, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    # A partial first output row, whole rows, a partial last row.
+    q0, q1 = p0 - i0 * ow, p1 - i0 * ow
+    head = min(q1, -(-q0 // ow) * ow)
+    tail = max(head, q1 // ow * ow)
+    count = (b1 - b0) * (p1 - p0)
+    dst = out[:count].reshape(count, *windows.shape[3:])
+    if head > q0:
+        dst[: head - q0] = windows[0, q0 // ow, q0 % ow : q0 % ow + head - q0]
+    if tail > head:
+        dst[head - q0 : count - (q1 - tail)].reshape(b1 - b0, -1, *windows.shape[2:])[...] = \
+            windows[:, head // ow : tail // ow]
+    if q1 > tail:
+        dst[count - (q1 - tail) :] = windows[0, tail // ow, : q1 - tail]
+    return count
 
 
 def _tap_span(tap, pad, extent, out_extent, stride):
@@ -530,18 +590,22 @@ def conv2d(x, weight, bias, stride=1):
     oh, ow, pads = _conv_geometry(h, w, kh, kw, stride)
     rows, depth = oh * ow, kh * kw * cin
     wmat = weight.data.reshape(depth, cout)
-    # The patch matrix of one block of whole samples at a time, each written
-    # into the same buffer and multiplied into its rows of y. y comes after
-    # the buffer: allocated first, it left the batch-1 infer bench's peak RSS
-    # 1.6 MiB higher in 12 of 16 runs on a 2-CPU host. The buffer, and the
-    # padded one, come from _scratch: fresh while a Tape is active, the
-    # thread's pooled ones otherwise.
-    blocks = _sample_blocks(n, rows * depth)
-    buf = _scratch("patch", ((n - blocks[-1][0]) * rows, depth), x.dtype)
+    # Each GEMM multiplies one block of _gemm_row_blocks rows within a block
+    # of _sample_blocks samples into its rows of y. While a Tape is active a
+    # sample block's whole patch matrix is built at once, in a fresh buffer
+    # sized for the largest block; otherwise just one GEMM block's rows, in
+    # the thread's pooled buffer. y comes after the buffer: allocated first,
+    # it left the batch-1 infer bench's peak RSS 1.6 MiB higher in 12 of 16
+    # runs on a 2-CPU host.
+    spans = [(start * rows, stop * rows) for start, stop in _sample_blocks(n, rows * depth)]
+    if Tape.active() is None:
+        spans = [(lo + a, lo + b) for lo, hi in spans for a, b in _gemm_row_blocks(hi - lo, depth, cout)]
+    buf = None if (kh, kw, stride) == (1, 1, 1) else _scratch(
+        "patch", (max(b - a for a, b in spans), depth), x.dtype)
     y = np.empty((n * rows, cout), dtype=np.result_type(x.data, wmat, bias.data))
-    for start, stop in blocks:
-        cols = _im2col(x.data[start:stop], kh, kw, stride, pads, oh, ow, buf[: (stop - start) * rows])
-        _matmul_rows(cols, wmat, y[start * rows : stop * rows])
+    for a, b in spans:
+        cols = _im2col(x.data, kh, kw, stride, pads, oh, ow, buf, (a, b))
+        _matmul_rows(cols, wmat, y[a:b])
     y = y.reshape(n, oh, ow, cout)
     y += bias.data.reshape(cout)
 

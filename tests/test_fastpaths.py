@@ -530,14 +530,14 @@ def test_fault_scale_reaches_the_relu_input_gradient(monkeypatch):
 
 
 def test_im2col_copies_a_chunk_of_samples_per_pass(monkeypatch):
-    # One sliding-window pass per block of _sample_blocks, through the padded
+    # One window copy per block of _sample_blocks, through the padded
     # buffer. small@32's stem at batch 32 is a single block. base@224's
     # strided stage-0 conv at batch 8 has 2 samples to a block, so its
     # backward makes 4 passes per kernel row, not one per sample.
     calls = []
-    view = np.lib.stride_tricks.sliding_window_view
-    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
-                        lambda *a, **kw: calls.append(a[0].shape[0]) or view(*a, **kw))
+    copy = tkfnet.tensor._copy_windows
+    monkeypatch.setattr(tkfnet.tensor, "_copy_windows",
+                        lambda data, pixels, *a: calls.append(pixels[1] - pixels[0]) or copy(data, pixels, *a))
     rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(32, 32, 32, 3)).astype(np.float32))
     weight = Tensor(rng.normal(size=(3, 3, 3, 8)).astype(np.float32))
