@@ -591,6 +591,29 @@ class TestManifestValues:
         assert main(["infer", str(weights), str(image), "--config", str(tmp_path / "run.cfg")]) == 0
         assert "# input_size=16\n" in capsys.readouterr().out
 
+    def test_each_manifest_records_only_the_settings_its_command_reads(self, trained, synth_tree,
+                                                                       tmp_path, capsys):
+        # A config file that sets every key but out: synth builds no model and
+        # infer neither trains nor takes a seed, so neither records model,
+        # epochs or seed (or, for infer, data). eval and infer record the
+        # preset their weights hold.
+        config = tmp_path / "all.cfg"
+        config.write_text("model = base\nepochs = 3\nseed = 4\nbatch_size = 5\nlr_init = 0.5\n"
+                          "lr_end = 0.1\ndata = synth:3x4x16\ninput_size = 16\n")
+        weights, image = str(trained / "weights.tkfw"), str(synth_tree / "grating_0" / "00000.ppm")
+        runs = {"synth": (["synth", "3x1x8", "--out", str(tmp_path / "s")], {"spec", "seed"}),
+                "eval": (["eval", weights], {"weights", "model", "seed", "data", "input_size"}),
+                "infer": (["infer", weights, image], {"weights", "image", "model", "input_size"})}
+        for command, (argv, keys) in runs.items():
+            assert main(argv + ["--config", str(config)]) == 0
+            out = capsys.readouterr().out
+            text = (tmp_path / "s" / "manifest.txt").read_text() if command == "synth" else out
+            lines = [line.removeprefix("# ") for line in text.splitlines()
+                     if command == "synth" or line.startswith("# ")]
+            recorded = {line.partition("=")[0] for line in lines} - {"command"}
+            assert {key for key in recorded if not key.startswith("class_")} == keys, command
+            assert "model=small" in lines or command == "synth"
+
 
 UMLAUT_NAMES = ["freude", "ärger", "überraschung"]
 

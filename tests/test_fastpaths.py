@@ -694,13 +694,14 @@ def test_spatial_moments_backward_builds_a_sample_at_a_time():
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["normal", "planted"])
-@pytest.mark.parametrize("shape", [(1, 20000, 1), (2, 100000, 1), (128, 196, 256)],
-                         ids=["1x20000x1", "2x100000x1", "dcif_b128"])
+@pytest.mark.parametrize("shape", [(1, 20000, 1), (2, 100000, 1), (128, 196, 256), (8, 3136, 128)],
+                         ids=["1x20000x1", "2x100000x1", "dcif_b128", "tafe_b8"])
 def test_sorted_sum_of_float32_matches_a_float64_copy_bits(shape, planted):
     # With one channel the reduced axis is contiguous, where numpy sums
     # pairwise; a numpy whose casting reduction summed in other blocks than
     # the float64 copy's would move bits here. (128, 196, 256) is DCIF's
-    # average pool at batch 128.
+    # average pool at batch 128, (8, 3136, 128) TAFE's moments at base@224
+    # batch 8, whose variance sums squared deviations from a float64 center.
     values = np.random.default_rng(list(shape)).normal(size=shape).astype(np.float32)
     if planted:
         n, count, c = shape
@@ -709,6 +710,10 @@ def test_sorted_sum_of_float32_matches_a_float64_copy_bits(shape, planted):
     with np.errstate(invalid="ignore"):
         expected = np.sort(values.astype(np.float64), axis=1).sum(axis=1)
         assert_same_bits(_sorted_sum(values), expected, "sorted sum")
+        center = expected / shape[1]
+        squares = values.astype(np.float64) - center[:, None]
+        squares *= squares
+        assert_same_bits(_sorted_sum(values, center), np.sort(squares, axis=1).sum(axis=1), "centered sum")
 
 
 def test_conv2d_without_tape_matches_reference_bits():
